@@ -342,6 +342,34 @@ class DiffReport:
             out.append(f"{where}: tables reproduced exactly")
         return out
 
+    def records(self) -> list[dict]:
+        """One record per diff entry, or a single ``kind: ok`` record.
+
+        Every record has the keys ``family, n, kind, p, q, actual,
+        expected, rows``; ``p`` and ``q`` use the command-line notation,
+        and fields that do not apply to a kind are null (``rows`` empty).
+        """
+
+        def rec(kind, pair=None, actual=None, expected=None, rows=()):
+            return {
+                "family": self.family,
+                "n": self.n,
+                "kind": kind,
+                "p": None if pair is None else str(pair.p),
+                "q": None if pair is None else str(pair.q),
+                "actual": actual,
+                "expected": expected,
+                "rows": list(rows),
+            }
+
+        out = [rec("missing", pair, None, c, labels) for pair, c, labels in self.missing]
+        out += [rec("unexpected", pair, c) for pair, c in self.unexpected]
+        out += [
+            rec("mismatched", pair, actual, exp, labels)
+            for pair, actual, exp, labels in self.mismatched
+        ]
+        return out or [rec("ok")]
+
 
 def diff_report(rows, expected_and_labels, family: str, n: int | None = None) -> DiffReport:
     """Symmetric difference between classification rows and an expected table."""

@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 usage error, 2 verification diff,
-3 internal invariant violation or computation failure.
+3 internal invariant violation or computation failure, 4 a tensor or
+character computation went over its rank, dimension or point cap.
 
 Parabolics are written as block compositions for the classical
 families (``--p 2,2`` or ``--p 2,2,2,2'`` with a stroke) and as the
@@ -40,11 +41,13 @@ from .sections import (
     eps_to_fundamental,
     example1_closed_form,
 )
+from .weights import CapExceeded
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DIFF = 2
 EXIT_INTERNAL = 3
+EXIT_CAP = 4
 
 ALL_FAMILIES = ("SL", "SO", "Sp") + EXCEPTIONAL_FAMILIES
 
@@ -139,12 +142,13 @@ def cmd_verify_tables(args) -> int:
             reports = pool.starmap(verify_tables, tasks)
     else:
         reports = [verify_tables(f, n) for f, n in tasks]
-    bad = False
-    for rep in reports:
-        for line in rep.lines():
-            print(line)
-        bad = bad or not rep.empty
-    return EXIT_DIFF if bad else EXIT_OK
+    if args.format == "pretty":
+        for rep in reports:
+            for line in rep.lines():
+                print(line)
+    else:
+        Emitter(args.format).records([rec for rep in reports for rec in rep.records()])
+    return EXIT_OK if all(rep.empty for rep in reports) else EXIT_DIFF
 
 
 def _valid_size(family: str, n: int) -> bool:
@@ -304,6 +308,9 @@ def main(argv=None) -> int:
     except (UsageError, ParabolicError, RootSystemError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except CapExceeded as exc:
+        print(f"error: cap exceeded: {exc}", file=sys.stderr)
+        return EXIT_CAP
     except Exception as exc:  # computation failure: distinct exit code
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

@@ -18,6 +18,7 @@ coordinates.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 
 from .rootsys import RootSystemId
@@ -62,10 +63,12 @@ def tensor_product(
     Peeling order is highest weight by height, ties lexicographic.  A
     negative multiplicity or a non-dominant leading term signals an
     internal inconsistency and raises.  Caps also apply to every peeled
-    summand (their characters are needed too).
+    summand (their characters are needed too); the first one, lam + mu,
+    is checked before any character is built.
     """
     lat = weight_lattice(group)
-    _check_caps(lat, (lam, mu), rank_cap, dim_cap)
+    highest = tuple(x + y for x, y in zip(lam, mu))
+    _check_caps(lat, (lam, mu, highest), rank_cap, dim_cap)
     ca = lat.character(lam)
     cb = lat.character(mu)
     if len(ca) > len(cb):
@@ -75,30 +78,36 @@ def tensor_product(
         for wb, mb in cb.items():
             w = tuple(x + y for x, y in zip(wa, wb))
             prod[w] = prod.get(w, 0) + ma * mb
+    # max-heap on (height, weight) with lazy deletion: an entry whose
+    # weight has dropped out of prod is skipped when it surfaces, and a
+    # weight is pushed again whenever it re-enters prod
+    heap = [_peel_key(lat, w) for w in prod]
+    heapq.heapify(heap)
     out: dict[Weight, int] = {}
-    while True:
-        top = None
-        top_key = None
-        for w, m in prod.items():
-            if m == 0:
-                continue
-            key = (lat.root_height(w), w)
-            if top_key is None or key > top_key:
-                top, top_key = w, key
-        if top is None:
-            break
-        m = prod[top]
+    while heap:
+        top = heapq.heappop(heap)[2]
+        m = prod.get(top)
+        if not m:
+            continue
         if m < 0 or not lat.is_dominant(top):
             raise OracleError(f"peeling failed at {top} with multiplicity {m}")
         _check_caps(lat, (top,), rank_cap, dim_cap)
         for w, mw in lat.character(top).items():
-            left = prod.get(w, 0) - m * mw
+            had = prod.get(w, 0)
+            left = had - m * mw
             if left:
                 prod[w] = left
+                if not had:
+                    heapq.heappush(heap, _peel_key(lat, w))
             else:
                 prod.pop(w, None)
         out[top] = m
     return out
+
+
+def _peel_key(lat: WeightLattice, w: Weight) -> tuple:
+    """Heap entry that pops the highest (height, weight) first."""
+    return (-lat.height(w), tuple(-x for x in w), w)
 
 
 def tensor_product_reflection(

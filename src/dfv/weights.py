@@ -2,15 +2,23 @@
 
 Weights are integer tuples of coordinates with respect to the
 fundamental weights, so the pairing with the i-th simple coroot is just
-the i-th coordinate.  All inner products use the Weyl-invariant form
-normalized so long roots have square length 2; everything is exact
-(integers and Fractions).
+the i-th coordinate.  Everything after set-up is integer arithmetic:
+
+* root-basis coordinates are kept scaled by ``det_c``, the least common
+  denominator of the inverse Cartan matrix, so ``root_coords(w)`` is the
+  integer vector ``det_c * C^-1 w``; the positive-root-cone test and the
+  height order only look at its signs and its sum;
+* the Weyl-invariant form is scaled to integers as well (``d[j]`` is a
+  positive integer multiple of ``|alpha_j|^2 / 2``), and every formula
+  that uses it is a ratio of two such forms, so the scale cancels.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm, prod
+from operator import add, mul
 
 from .rootsys import RootSystem, RootSystemId, build_root_system
 
@@ -34,7 +42,8 @@ class WeightLattice:
         rs: RootSystem = build_root_system(rsid)
         self.rs = rs
         self.cartan = rs.cartan
-        self.d = rs.symmetrizer
+        # d[j]: |alpha_j|^2 / 2 times the least common denominator
+        self.d: tuple[int, ...] = _scale_to_integers(rs.symmetrizer)[1]
         # fundamental coordinates of alpha_j are the j-th Cartan column
         self.simple_fw: tuple[Weight, ...] = tuple(
             tuple(self.cartan[i][j] for i in range(self.rank)) for j in range(self.rank)
@@ -44,9 +53,26 @@ class WeightLattice:
             self._rb_to_fw(a) for a in self.pos_roots_rb
         )
         self.rho: Weight = (1,) * self.rank
-        self.cartan_inv = _invert_fraction_matrix(
-            [[Fraction(x) for x in row] for row in self.cartan]
+        # adj = det_c * C^-1 is an integer matrix: root_coords(w) = adj . w
+        inv = _invert_fraction_matrix([[Fraction(x) for x in row] for row in self.cartan])
+        self.det_c, flat = _scale_to_integers([x for row in inv for x in row])
+        self.adj: tuple[tuple[int, ...], ...] = tuple(
+            flat[j * self.rank:(j + 1) * self.rank] for j in range(self.rank)
         )
+        # height(w) = sum of root_coords(w) = height_vec . w
+        self.height_vec: tuple[int, ...] = tuple(map(sum, zip(*self.adj)))
+        # per positive root a: its two coordinate forms, the pairs
+        # (j, det_c * a_j) over its support, and the scaled B(a, a)
+        self._freudenthal_roots = tuple(
+            (
+                a_rb,
+                a_fw,
+                tuple((j, self.det_c * c) for j, c in enumerate(a_rb) if c),
+                self._form_root(a_fw, a_rb),
+            )
+            for a_rb, a_fw in zip(self.pos_roots_rb, self.pos_roots_fw)
+        )
+        self._weyl_den = prod(self._form_root(self.rho, a) for a in self.pos_roots_rb)
 
     # -- coordinate plumbing -------------------------------------------
 
@@ -56,31 +82,20 @@ class WeightLattice:
             for i in range(self.rank)
         )
 
-    def fw_to_rb(self, w: Weight) -> tuple[Fraction, ...]:
-        """Root-basis coordinates of a weight (rational in general)."""
-        return tuple(
-            sum(self.cartan_inv[j][i] * w[i] for i in range(self.rank))
-            for j in range(self.rank)
-        )
+    def root_coords(self, w: Weight) -> tuple[int, ...]:
+        """Root-basis coordinates of a weight, times ``det_c``."""
+        return tuple(sum(map(mul, row, w)) for row in self.adj)
 
     def in_positive_root_cone(self, w: Weight) -> bool:
-        return all(c >= 0 for c in self.fw_to_rb(w))
+        return all(sum(map(mul, row, w)) >= 0 for row in self.adj)
 
-    def root_height(self, w: Weight) -> Fraction:
-        return sum(self.fw_to_rb(w), Fraction(0))
+    def height(self, w: Weight) -> int:
+        """Height of a weight (sum of its root-basis coordinates), times ``det_c``."""
+        return sum(map(mul, self.height_vec, w))
 
-    # -- form ------------------------------------------------------------
-
-    def inner_fw_root(self, w: Weight, root_rb) -> Fraction:
-        """B(w, alpha) for w in fundamental coordinates, alpha in root basis."""
-        return sum(
-            self.d[j] * root_rb[j] * w[j] for j in range(self.rank) if root_rb[j]
-        )
-
-    def inner(self, u: Weight, v: Weight) -> Fraction:
-        """B(u, v) for two weights in fundamental coordinates."""
-        vr = self.fw_to_rb(v)
-        return sum(self.d[j] * vr[j] * u[j] for j in range(self.rank) if vr[j])
+    def _form_root(self, w: Weight, root_rb) -> int:
+        """Scaled B(w, alpha) for w in fundamental coordinates, alpha in root basis."""
+        return sum(d * c * x for d, c, x in zip(self.d, root_rb, w) if c)
 
     # -- Weyl group -------------------------------------------------------
 
@@ -92,16 +107,17 @@ class WeightLattice:
         c = w[i]
         if not c:
             return w
-        col = self.simple_fw[i]
-        return tuple(w[j] - c * col[j] for j in range(self.rank))
+        return tuple([x - c * y for x, y in zip(w, self.simple_fw[i])])
 
     def to_dominant(self, w: Weight) -> tuple[Weight, int]:
         """Dominant representative and the sign (-1)^length of the move."""
         sign = 1
         w = tuple(w)
         while True:
-            i = next((k for k, c in enumerate(w) if c < 0), None)
-            if i is None:
+            for i, c in enumerate(w):
+                if c < 0:
+                    break
+            else:
                 return w, sign
             w = self.reflect_simple(w, i)
             sign = -sign
@@ -125,51 +141,55 @@ class WeightLattice:
     def weyl_dim(self, w: Weight) -> int:
         if not self.is_dominant(w):
             raise OracleError(f"weyl_dim of non-dominant weight {w}")
-        num = Fraction(1)
-        for a in self.pos_roots_rb:
-            top = sum(self.d[j] * a[j] * (w[j] + 1) for j in range(self.rank) if a[j])
-            bot = sum(self.d[j] * a[j] for j in range(self.rank) if a[j])
-            num *= Fraction(top, bot)
-        if num.denominator != 1:
+        wr = tuple(x + 1 for x in w)
+        num = prod(self._form_root(wr, a) for a in self.pos_roots_rb)
+        dim, rem = divmod(num, self._weyl_den)
+        if rem:
             raise OracleError("Weyl dimension came out non-integral")
-        return int(num)
+        return dim
 
     def dominant_character(self, w: Weight, point_budget: int = 400_000) -> dict[Weight, int]:
         """Multiplicities of the dominant weights of the irreducible of h.w. w.
 
         Freudenthal recursion over the dominant weights mu <= w, processed
-        by increasing height of w - mu.
+        by increasing height of w - mu.  For each positive root a the
+        string mu + k*a (k >= 1) is followed while w - mu - k*a stays in
+        the positive root cone, which bounds k by the scaled root
+        coordinates of w - mu.
         """
         if not self.is_dominant(w):
             raise OracleError(f"character of non-dominant weight {w}")
         dominants = self._dominant_weights_below(w, point_budget)
-        order = sorted(dominants, key=lambda m: self.root_height(_sub(w, m)))
+        order = sorted(dominants, key=lambda m: self.height(_sub(w, m)))
         mult: dict[Weight, int] = {}
-        wr = self.inner(_add(w, self.rho), _add(w, self.rho))
         for mu in order:
             if mu == w:
                 mult[mu] = 1
                 continue
-            acc = Fraction(0)
-            for a_rb, a_fw in zip(self.pos_roots_rb, self.pos_roots_fw):
-                k = 1
-                nu = _add(mu, a_fw)
-                while True:
-                    diff = _sub(w, nu)
-                    if not self.in_positive_root_cone(diff):
-                        break
-                    dom, _ = self.to_dominant(nu)
-                    m = mult.get(dom, 0)
+            r = self.root_coords(_sub(w, mu))
+            acc = 0
+            for a_rb, a_fw, a_support, a_norm in self._freudenthal_roots:
+                kmax = min(r[j] // c for j, c in a_support)
+                if kmax <= 0:
+                    continue
+                # scaled B(mu + k*a, a), updated along the string
+                form = self._form_root(mu, a_rb)
+                nu = mu
+                for _ in range(kmax):
+                    nu = tuple(map(add, nu, a_fw))
+                    form += a_norm
+                    m = mult.get(self.to_dominant(nu)[0], 0)
                     if m:
-                        acc += m * self.inner_fw_root(nu, a_rb)
-                    k += 1
-                    nu = _add(nu, a_fw)
-            denom = self.inner(_add(w, mu, self.rho, self.rho), _sub(w, mu))
-            val = 2 * acc / denom
-            if val.denominator != 1 or val < 0:
+                        acc += m * form
+            # scaled B(w + mu + 2 rho, w - mu), times det_c
+            denom = sum(
+                d * c * (x + y + 2) for d, c, x, y in zip(self.d, r, w, mu) if c
+            )
+            val, rem = divmod(2 * acc * self.det_c, denom)
+            if rem or val < 0:
                 raise OracleError("Freudenthal recursion produced a bad multiplicity")
             if val:
-                mult[mu] = int(val)
+                mult[mu] = val
         return mult
 
     def _dominant_weights_below(self, w: Weight, point_budget: int) -> list[Weight]:
@@ -211,12 +231,14 @@ class WeightLattice:
         return out
 
 
-def _add(*ws: Weight) -> Weight:
-    return tuple(sum(cs) for cs in zip(*ws))
-
-
 def _sub(u: Weight, v: Weight) -> Weight:
-    return tuple(a - b for a, b in zip(u, v))
+    return tuple([a - b for a, b in zip(u, v)])
+
+
+def _scale_to_integers(values) -> tuple[int, tuple[int, ...]]:
+    """(s, s * values) with s the least common denominator of the Fractions."""
+    s = lcm(*(x.denominator for x in values))
+    return s, tuple(int(x * s) for x in values)
 
 
 def _invert_fraction_matrix(m):

@@ -6,7 +6,9 @@ import json
 
 import pytest
 
-from dfv.cli import EXIT_DIFF, EXIT_OK, EXIT_USAGE, main
+from dfv import cli
+from dfv.classifier import DiffReport, enumerate_pairs
+from dfv.cli import EXIT_CAP, EXIT_DIFF, EXIT_OK, EXIT_USAGE, main
 
 
 def run(capsys, *argv):
@@ -39,6 +41,32 @@ def test_verify_tables_success(capsys):
     code, out, _ = run(capsys, "verify-tables", "--family", "SL", "--n", "4..5")
     assert code == EXIT_OK
     assert out.count("reproduced exactly") == 2
+
+
+def test_verify_tables_json_records(capsys, monkeypatch):
+    keys = {"family", "n", "kind", "p", "q", "actual", "expected", "rows"}
+    code, out, _ = run(capsys, "verify-tables", "--family", "SL", "--n", "4..5", "--format", "json")
+    records = [json.loads(line) for line in out.splitlines()]
+    assert code == EXIT_OK
+    assert [(r["n"], r["kind"]) for r in records] == [(4, "ok"), (5, "ok")]
+    assert all(set(r) == keys for r in records)
+
+    a, b, c = enumerate_pairs("SL", 4)[:3]
+    report = DiffReport("SL", 4, missing=[(a, 1, ["row 3"])], unexpected=[(b, 0)],
+                        mismatched=[(c, 1, 0, ["row 1", "row 2"])])
+    monkeypatch.setattr(cli, "verify_tables", lambda family, n: report)
+    code, out, _ = run(capsys, "verify-tables", "--family", "SL", "--n", "4", "--format", "json")
+    records = [json.loads(line) for line in out.splitlines()]
+    assert code == EXIT_DIFF
+    assert all(set(r) == keys for r in records)
+    assert [(r["kind"], r["actual"], r["expected"], r["rows"]) for r in records] == [
+        ("missing", None, 1, ["row 3"]),
+        ("unexpected", 0, None, []),
+        ("mismatched", 1, 0, ["row 1", "row 2"]),
+    ]
+    assert records[0]["p"] == str(a.p) and records[0]["q"] == str(a.q)
+    code, out, _ = run(capsys, "verify-tables", "--family", "SL", "--n", "4")
+    assert code == EXIT_DIFF and out.splitlines() == report.lines()
 
 
 def test_classify_stream_json(capsys):
@@ -77,6 +105,15 @@ def test_oracle_and_methods(capsys):
         assert code == EXIT_OK
         assert out.splitlines()[0] == "weight\tmultiplicity"
         assert len(out.splitlines()) == 3
+
+
+def test_oracle_cap_exit_code(capsys):
+    code, out, err = run(
+        capsys, "oracle", "--family", "SL", "--n", "9", "--lam", "0,0,1,0,0,0,0,0",
+        "--mu", "0,0,1,0,0,1,0,0", "--method", "peel",
+    )
+    assert code == EXIT_CAP and out == ""
+    assert err.startswith("error: cap exceeded: dim 148500 of weight")
 
 
 def test_oracle_check(capsys):

@@ -17,7 +17,7 @@ from dfv.oracle import (
     weight_to_partition,
 )
 from dfv.rootsys import system_id
-from dfv.weights import CapExceeded, OracleError, weight_lattice
+from dfv.weights import CapExceeded, OracleError, WeightLattice, weight_lattice
 
 A1 = system_id("A", 1)
 A3 = system_id("A", 3)
@@ -115,6 +115,28 @@ def test_caps_enforced():
         tensor_product(A8, (2, 0, 0, 2, 0, 0, 2, 0), (2, 0, 0, 2, 0, 0, 2, 0), dim_cap=20_000)
     with pytest.raises(CapExceeded):
         tensor_product(system_id("E8", 8), (1, 0, 0, 0, 0, 0, 0, 0), (0,) * 8, rank_cap=7)
+
+
+def test_dim_cap_trips_on_lam_plus_mu_before_any_character(monkeypatch):
+    A8 = system_id("A", 8)
+    lam, mu = (0, 0, 1, 0, 0, 0, 0, 0), (0, 0, 1, 0, 0, 1, 0, 0)
+    lat = weight_lattice(A8)
+    assert lat.weyl_dim(lam) <= 20_000 and lat.weyl_dim(mu) <= 20_000
+
+    def no_character(self, *args, **kwargs):
+        raise AssertionError("a character was built before the cap check")
+
+    monkeypatch.setattr(WeightLattice, "character", no_character)
+    with pytest.raises(CapExceeded) as exc:
+        tensor_product(A8, lam, mu)
+    assert str(exc.value) == "dim 148500 of weight (0, 0, 2, 0, 0, 1, 0, 0) above cap 20000"
+
+
+def test_no_dim_cap_leaves_result_unchanged():
+    assert tensor_product(C2, (1, 0), (0, 1), dim_cap=None) == {(1, 1): 1, (1, 0): 1}
+    assert tensor_product(A3, (1, 0, 1), (1, 0, 1), dim_cap=None) == tensor_product(
+        A3, (1, 0, 1), (1, 0, 1)
+    )
 
 
 def test_lr_requires_type_a():
