@@ -16,9 +16,10 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from importlib import resources
 from itertools import combinations
-from math import ceil
 
-from .complexity import complexity, dimension_lower_bound
+# dimension_lower_bound is unused here but stays importable from this
+# module: perfbench/spans.py wraps it under this name.
+from .complexity import complexity, dimension_lower_bound  # noqa: F401
 from .parabolic import (
     BlockComposition,
     ParabolicError,
@@ -26,6 +27,7 @@ from .parabolic import (
     SimpleRootSubset,
     canonical_pair,
     classical_system_id,
+    subset_to_composition,
 )
 from .rootsys import RootSystemId, system_id
 
@@ -118,73 +120,50 @@ def enumerate_pairs(family: str, n: int | None = None) -> list[ParabolicPair]:
     return sorted(seen, key=ParabolicPair.sort_key)
 
 
-def _is_trivial(pair: ParabolicPair) -> bool:
-    """Whether one factor is the full group (complexity trivially 0)."""
-    for spec in (pair.p, pair.q):
-        if isinstance(spec, BlockComposition):
-            if len(spec.sizes) == 1:
-                return True
-        elif not spec.removed:
-            return True
-    return False
-
-
-@lru_cache(maxsize=None)
-def _maximal_table(rsid: RootSystemId) -> dict[tuple[int, int], int]:
-    """Exact complexities for all pairs of maximal parabolics."""
-    full = frozenset(range(1, rsid.rank + 1))
-    out = {}
-    for i in range(1, rsid.rank + 1):
-        for j in range(i, rsid.rank + 1):
-            c = complexity(
-                rsid,
-                SimpleRootSubset(rsid, full - {i}),
-                SimpleRootSubset(rsid, full - {j}),
-            )
-            out[(i, j)] = out[(j, i)] = c
-    return out
-
-
-def _exceptional_lower_bound(rsid: RootSystemId, pair: ParabolicPair) -> int:
-    """Cheap lower bound: monotonicity from maximal pairs plus dimensions."""
-    table = _maximal_table(rsid)
-    rp, rq = pair.p.removed, pair.q.removed
-    bound = 0
-    if rp and rq:
-        bound = max(table[(i, j)] for i in rp for j in rq)
-    dim_bound = dimension_lower_bound(rsid, pair.p, pair.q)
-    return max(bound, ceil(dim_bound))
-
-
 def classify(
-    family: str,
-    n: int | None = None,
-    cmax: int = 1,
-    include_trivial: bool = False,
-    tie_break: str = "lex",
+    family: str, n: int | None = None, cmax: int = 1, tie_break: str = "lex"
 ) -> list[ClassificationRow]:
-    """All symmetry orbits with complexity <= cmax, with exact values."""
-    rows = []
-    if family in EXCEPTIONAL_FAMILIES:
-        rsid = system_id(family)
-        for pair in enumerate_pairs(family):
-            if _is_trivial(pair):
-                if not include_trivial:
-                    continue
-            elif _exceptional_lower_bound(rsid, pair) > cmax:
-                continue
-            c = complexity(rsid, pair.p, pair.q, tie_break)
-            if c <= cmax:
-                rows.append(ClassificationRow(pair, c))
-        return rows
-    rsid = classical_system_id(family, n)
-    for pair in enumerate_pairs(family, n):
-        if _is_trivial(pair) and not include_trivial:
+    """All symmetry orbits with complexity <= cmax, with exact values.
+
+    Complexity never decreases when a parabolic shrinks, so every pair
+    of proper parabolics with complexity <= cmax is reached from a pair
+    of maximal parabolics by removing one simple root at a time, through
+    pairs that are all <= cmax.  The walk evaluates only those pairs and
+    their one-root refinements, keyed by removed-root sets up to swap;
+    the kept pairs are canonicalised at the end.
+    """
+    exceptional = family in EXCEPTIONAL_FAMILIES
+    rsid = system_id(family) if exceptional else classical_system_id(family, n)
+    r = rsid.rank
+    full = frozenset(range(1, r + 1))
+
+    def levi(removed):
+        return SimpleRootSubset(rsid, full.difference(removed))
+
+    todo = [((i,), (j,)) for i in range(1, r + 1) for j in range(i, r + 1)]
+    seen = set(todo)
+    kept = {}
+    while todo:
+        rp, rq = todo.pop()
+        c = complexity(rsid, levi(rp), levi(rq), tie_break)
+        if c > cmax:
             continue
-        c = complexity(rsid, pair.p, pair.q, tie_break)
-        if c <= cmax:
-            rows.append(ClassificationRow(pair, c))
-    return rows
+        kept[(rp, rq)] = c
+        steps = [(tuple(sorted(rp + (x,))), rq) for x in full.difference(rp)]
+        steps += [(rp, tuple(sorted(rq + (x,)))) for x in full.difference(rq)]
+        for a, b in steps:
+            key = min((a, b), (b, a))
+            if key not in seen:
+                seen.add(key)
+                todo.append(key)
+    rows = {}
+    for (rp, rq), c in kept.items():
+        p, q = levi(rp), levi(rq)
+        if not exceptional:
+            p, q = subset_to_composition(p), subset_to_composition(q)
+        pair = canonical_pair(ParabolicPair(p, q))
+        rows[pair] = ClassificationRow(pair, c)
+    return sorted(rows.values(), key=lambda row: row.pair.sort_key())
 
 
 # -- expected tables -------------------------------------------------------
@@ -387,9 +366,9 @@ def diff_report(rows, expected_and_labels, family: str, n: int | None = None) ->
     return report
 
 
-def verify_tables(family: str, n: int | None = None, tie_break: str = "lex") -> DiffReport:
+def verify_tables(family: str, n: int | None = None) -> DiffReport:
     """Classify and diff against the bundled reference table."""
-    rows = classify(family, n, cmax=1, tie_break=tie_break)
+    rows = classify(family, n, cmax=1)
     return diff_report(rows, expected_table(family, n), family, n)
 
 

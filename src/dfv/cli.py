@@ -114,6 +114,7 @@ def cmd_complexity(args) -> int:
 
 
 def cmd_classify(args) -> int:
+    _group(args.family, args.n)  # usage error if a classical family has no --n
     rows = classify(args.family, args.n, cmax=args.cmax, tie_break=args.tie_break)
     rows.sort(key=lambda r: (r.complexity, r.pair.sort_key()))
     Emitter(args.format).records([row_record(args.family, args.n, r) for r in rows])
@@ -135,13 +136,7 @@ def cmd_verify_tables(args) -> int:
                 for n in range(lo, hi + 1)
                 if family == "SL" or _valid_size(family, n)
             )
-    if args.jobs > 1:
-        import multiprocessing as mp
-
-        with mp.Pool(args.jobs) as pool:
-            reports = pool.starmap(verify_tables, tasks)
-    else:
-        reports = [verify_tables(f, n) for f, n in tasks]
+    reports = _starmap(verify_tables, tasks, args.jobs)
     if args.format == "pretty":
         for rep in reports:
             for line in rep.lines():
@@ -149,6 +144,16 @@ def cmd_verify_tables(args) -> int:
     else:
         Emitter(args.format).records([rec for rep in reports for rec in rep.records()])
     return EXIT_OK if all(rep.empty for rep in reports) else EXIT_DIFF
+
+
+def _starmap(fn, tasks, jobs: int) -> list:
+    """``fn(*task)`` for every task, over ``jobs`` worker processes if jobs > 1."""
+    if jobs > 1:
+        import multiprocessing as mp
+
+        with mp.Pool(jobs) as pool:
+            return pool.starmap(fn, tasks)
+    return [fn(*task) for task in tasks]
 
 
 def _valid_size(family: str, n: int) -> bool:
@@ -196,8 +201,7 @@ def cmd_oracle(args) -> int:
     return EXIT_OK
 
 
-def _oracle_check_one(task) -> tuple[int, list[str]]:
-    pair, seed0, seeds, cap = task
+def _oracle_check_one(pair, seed0: int, seeds: int, cap: int) -> tuple[int, list[str]]:
     ce = pair_complexity(pair)
     bad = []
     for seed in range(seed0, seed0 + seeds):
@@ -214,13 +218,7 @@ def cmd_oracle_check(args) -> int:
     classical_system_id(family, n)
     pairs = enumerate_pairs(family, n)
     tasks = [(pair, args.seed, args.seeds, args.cap) for pair in pairs]
-    if args.jobs > 1:
-        import multiprocessing as mp
-
-        with mp.Pool(args.jobs) as pool:
-            results = pool.map(_oracle_check_one, tasks)
-    else:
-        results = [_oracle_check_one(t) for t in tasks]
+    results = _starmap(_oracle_check_one, tasks, args.jobs)
     mismatches = 0
     for count, lines in results:
         mismatches += count
@@ -237,31 +235,36 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def add_common(p, need_n: bool = True):
+    flags = {
+        "--format": dict(default="pretty", choices=("json", "tsv", "pretty")),
+        "--tie-break": dict(default="lex", choices=("lex", "revlex")),
+        "--seed": dict(type=int, default=0),
+        "--jobs": dict(type=int, default=1, help="worker processes for sweeps"),
+    }
+
+    def add_flags(p, *names):
+        """The group flags plus the named shared flags the subcommand reads."""
         p.add_argument("--family", required=True, choices=ALL_FAMILIES)
-        if need_n:
-            p.add_argument("--n", type=int, default=None, help="matrix size (classical families)")
-        p.add_argument("--format", default="pretty", choices=("json", "tsv", "pretty"))
-        p.add_argument("--tie-break", default="lex", choices=("lex", "revlex"))
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--jobs", type=int, default=1, help="worker processes for sweeps")
+        p.add_argument("--n", type=int, default=None, help="matrix size (classical families)")
+        for name in names:
+            p.add_argument(name, **flags[name])
 
     p = sub.add_parser("complexity", help="complexity of one pair of parabolics")
-    add_common(p)
+    add_flags(p, "--tie-break")
     p.add_argument("--p", required=True)
     p.add_argument("--q", required=True)
     p.set_defaults(func=cmd_complexity)
 
     p = sub.add_parser("classify", help="all pairs of complexity <= cmax")
-    add_common(p)
+    add_flags(p, "--format", "--tie-break")
     p.add_argument("--cmax", type=int, default=1)
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("verify-tables", help="diff the classification against the bundled tables")
     p.add_argument("--family", default=None, choices=ALL_FAMILIES)
     p.add_argument("--n", default=None, help="size or range, e.g. 8 or 4..10")
-    p.add_argument("--format", default="pretty", choices=("json", "tsv", "pretty"))
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--format", **flags["--format"])
+    p.add_argument("--jobs", **flags["--jobs"])
     p.set_defaults(func=cmd_verify_tables)
 
     p = sub.add_parser("decompose", help="tensor decompositions from bundled divisor data")
@@ -270,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
     p1.add_argument("--l", type=int, required=True)
     p1.add_argument("--p", type=int, required=True)
     p1.add_argument("--q", type=int, required=True)
-    p1.add_argument("--format", default="pretty", choices=("json", "tsv", "pretty"))
+    p1.add_argument("--format", **flags["--format"])
     p1.set_defaults(func=cmd_decompose, dataset="example1")
     p2 = dsub.add_parser("example2", help="SL pair (3, n-3) x (q1, q2, q3)")
     p2.add_argument("--q1", type=int, required=True)
@@ -278,18 +281,18 @@ def build_parser() -> argparse.ArgumentParser:
     p2.add_argument("--q3", type=int, required=True)
     p2.add_argument("--m", type=lambda s: tuple(int(x) for x in s.split(",")), required=True,
                     help="m1,m2,m3")
-    p2.add_argument("--format", default="pretty", choices=("json", "tsv", "pretty"))
+    p2.add_argument("--format", **flags["--format"])
     p2.set_defaults(func=cmd_decompose, dataset="example2")
 
     p = sub.add_parser("oracle", help="tensor product of two irreducibles")
-    add_common(p)
+    add_flags(p, "--format")
     p.add_argument("--lam", required=True, help="fundamental coordinates, e.g. 1,0")
     p.add_argument("--mu", required=True)
     p.add_argument("--method", default="peel", choices=("peel", "reflection", "lr"))
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("oracle-check", help="stripping engine vs matrix oracle agreement")
-    add_common(p)
+    add_flags(p, "--seed", "--jobs")
     p.add_argument("--seeds", type=int, default=3)
     p.add_argument("--cap", type=int, default=20, help="largest matrix size the oracle accepts")
     p.set_defaults(func=cmd_oracle_check)

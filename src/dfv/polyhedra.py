@@ -104,13 +104,12 @@ def check_bounded(proj, k: int):
             raise UnboundedRegion(direction)
 
 
-def integer_points(constraints, k: int, require_bounded: bool = True):
+def integer_points(constraints, k: int):
     """All integer points of {x : coeffs . x >= rhs} in lexicographic order."""
     proj = fm_prefix_projections(constraints, k)
     if proj is None:
         return []
-    if require_bounded:
-        check_bounded(proj, k)
+    check_bounded(proj, k)
     # per-depth constraint lists; constraints with zero coefficient on x_d
     # are dropped: they survive Fourier-Motzkin into the shorter prefix
     # projection and are therefore already satisfied by any scanned prefix
@@ -128,6 +127,7 @@ def integer_points(constraints, k: int, require_bounded: bool = True):
         if d > k:
             out.append(prefix)
             return
+        # check_bounded found a lower and an upper constraint at every depth
         lo = None
         hi = None
         for c, co, r in levels[d]:
@@ -140,8 +140,6 @@ def integer_points(constraints, k: int, require_bounded: bool = True):
                 b = rem // c  # floor(rem / c) for negative c
                 if hi is None or b < hi:
                     hi = b
-        if lo is None or hi is None:
-            raise UnboundedRegion(tuple(0 if j != d - 1 else 1 for j in range(k)))
         for v in range(lo, hi + 1):
             scan(d + 1, prefix + (v,))
 

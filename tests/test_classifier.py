@@ -48,8 +48,30 @@ def test_so8_strokes_exactly_on_central_free_compositions():
 def test_classify_excludes_full_group_pairs():
     rows = classify("SL", 4, cmax=1)
     assert all(len(r.pair.p.sizes) > 1 and len(r.pair.q.sizes) > 1 for r in rows)
-    rows = classify("SL", 4, cmax=1, include_trivial=True)
-    assert any(len(r.pair.p.sizes) == 1 for r in rows)
+
+
+def _proper(spec) -> bool:
+    if isinstance(spec, BlockComposition):
+        return len(spec.sizes) > 1
+    return bool(spec.removed)
+
+
+@pytest.mark.parametrize("cmax", [0, 1, 2])
+@pytest.mark.parametrize(
+    "family,n",
+    [("SL", 5), ("SL", 7), ("Sp", 8), ("SO", 8), ("SO", 9), ("SO", 10),
+     ("E6", None), ("F4", None), ("G2", None)],
+)
+def test_classify_matches_brute_force(family, n, cmax):
+    # the walk relies on monotonicity; the reference evaluates every
+    # canonical pair of proper parabolics, in enumeration order
+    brute = []
+    for pair in enumerate_pairs(family, n):
+        if _proper(pair.p) and _proper(pair.q):
+            c = pair_complexity(pair)
+            if c <= cmax:
+                brute.append(ClassificationRow(pair, c))
+    assert classify(family, n, cmax=cmax) == brute
 
 
 def test_expected_table_spot_rows():

@@ -35,6 +35,28 @@ def test_usage_errors(capsys):
     assert code == EXIT_USAGE and "stroke" in err
 
 
+def test_subcommands_reject_flags_they_do_not_read(capsys):
+    pair = ("--family", "SL", "--n", "4", "--p", "2,2", "--q", "2,2")
+    for flag in (("--seed", "1"), ("--jobs", "2"), ("--format", "json")):
+        code, _, err = run(capsys, "complexity", *pair, *flag)
+        assert code == EXIT_USAGE and "unrecognized arguments" in err
+    for flag in (("--seed", "1"), ("--jobs", "2")):
+        code, _, _ = run(capsys, "classify", "--family", "SL", "--n", "4", *flag)
+        assert code == EXIT_USAGE
+    lam_mu = ("--family", "Sp", "--n", "4", "--lam", "1,0", "--mu", "0,1")
+    for flag in (("--seed", "1"), ("--jobs", "2"), ("--tie-break", "revlex")):
+        code, _, _ = run(capsys, "oracle", *lam_mu, *flag)
+        assert code == EXIT_USAGE
+    for flag in (("--tie-break", "revlex"), ("--format", "json")):
+        code, _, err = run(capsys, "oracle-check", "--family", "Sp", "--n", "4", *flag)
+        assert code == EXIT_USAGE and "unrecognized arguments" in err
+
+
+def test_classify_needs_n_for_classical_families(capsys):
+    code, out, err = run(capsys, "classify", "--family", "SL")
+    assert code == EXIT_USAGE and out == "" and "--n is required" in err
+
+
 def test_verify_tables_success(capsys):
     code, out, _ = run(capsys, "verify-tables", "--family", "G2")
     assert code == EXIT_OK and "reproduced exactly" in out
@@ -67,6 +89,13 @@ def test_verify_tables_json_records(capsys, monkeypatch):
     assert records[0]["p"] == str(a.p) and records[0]["q"] == str(a.q)
     code, out, _ = run(capsys, "verify-tables", "--family", "SL", "--n", "4")
     assert code == EXIT_DIFF and out.splitlines() == report.lines()
+
+
+def test_verify_tables_jobs_do_not_change_output(capsys):
+    serial = run(capsys, "verify-tables", "--family", "SL", "--n", "4..6", "--jobs", "1")
+    pooled = run(capsys, "verify-tables", "--family", "SL", "--n", "4..6", "--jobs", "2")
+    assert serial[0] == EXIT_OK and serial[1].count("reproduced exactly") == 3
+    assert pooled == serial
 
 
 def test_classify_stream_json(capsys):
