@@ -13,7 +13,9 @@ of p_u ∩ q_u over the common refinement of the two compositions, on
 which B ∩ L ∩ M acts by X_{ij} -> A_i X_{ij} A_j^{-1}.  The complexity
 equals the codimension of a generic orbit; the oracle here evaluates
 the rank of the infinitesimal action at random integer points with
-exact arithmetic.  Stroke parabolics are realized by conjugating block
+exact arithmetic.  Matrices are lists of sparse (row, column,
+coefficient) entries, and the action is read off in the coordinates of
+the module basis only.  Stroke parabolics are realized by conjugating block
 membership with the transposition of the two middle basis vectors.
 """
 
@@ -24,8 +26,9 @@ from dataclasses import dataclass
 
 from .complexity import integer_rank
 from .parabolic import BlockComposition, ParabolicError
+from .weights import CapExceeded
 
-Matrix = list[list[int]]
+_ENTRY_BOUND = 10**6  # entries of the oracle's random points lie in [-bound, bound]
 
 
 class BlockModelError(RuntimeError):
@@ -73,34 +76,20 @@ def build_block_grid(family: str, p: BlockComposition, q: BlockComposition) -> B
             "block grids are defined for unstroked compositions; reduce stroke "
             "pairs first (see reduce_stroke_pair)"
         )
-    bounds = sorted(set(p.boundaries()) | set(q.boundaries()))
-    refined = []
-    prev = 0
-    for b in bounds + [p.n]:
-        refined.append(b - prev)
-        prev = b
+    ends = sorted(set(p.boundaries()) | set(q.boundaries())) + [p.n]
+    refined = [b - a for a, b in zip([0] + ends, ends)]
     r = len(refined)
-    pidx = _refined_to_block(refined, p)
-    qidx = _refined_to_block(refined, q)
+    pb, qb = _blocks(p), _blocks(q)
     cells = set()
     for i in range(1, r + 1):
         for j in range(i + 1, r + 1):
-            if pidx[i] != pidx[j] and qidx[i] != qidx[j]:
+            a, b = ends[i - 1], ends[j - 1]
+            if pb[a] != pb[b] and qb[a] != qb[b]:
                 cells.add((i, j))
     anti = frozenset(c for c in cells if c[0] + c[1] == r + 1)
     if family != "SL":
         cells = {c for c in cells if c[0] + c[1] >= r + 1}
     return BlockGrid(family, tuple(refined), frozenset(cells), anti)
-
-
-def _refined_to_block(refined, comp: BlockComposition) -> dict[int, int]:
-    out = {}
-    pos = 0
-    bounds = list(comp.boundaries()) + [comp.n]
-    for i, k in enumerate(refined, start=1):
-        pos += k
-        out[i] = next(bi for bi, b in enumerate(bounds) if pos <= b)
-    return out
 
 
 def reduce_stroke_pair(
@@ -235,36 +224,18 @@ def _max_disjoint(patterns, limit: int) -> int:
 
 # -- explicit matrix models ----------------------------------------------
 
-def _stroke_posmap(comp: BlockComposition):
-    """Position relabeling realizing the stroke (middle transposition)."""
-    if not comp.stroke:
-        return lambda a: a
-    l = comp.n // 2
+def _blocks(comp: BlockComposition) -> list[int]:
+    """Block index of each position 1..n (entry 0 is unused).
 
-    def w(a: int) -> int:
-        if a == l:
-            return l + 1
-        if a == l + 1:
-            return l
-        return a
-
-    return w
-
-
-def _block_of(comp: BlockComposition):
-    bounds = list(comp.boundaries()) + [comp.n]
-    w = _stroke_posmap(comp)
-
-    def idx(a: int) -> int:
-        wa = w(a)
-        return next(i for i, b in enumerate(bounds) if wa <= b)
-
-    return idx
-
-
-def _inside_blocks(comp: BlockComposition):
-    idx = _block_of(comp)
-    return lambda a, b: idx(a) == idx(b)
+    A stroke swaps the entries of the two middle positions.
+    """
+    out = [-1]
+    for i, k in enumerate(comp.sizes):
+        out += [i] * k
+    if comp.stroke:
+        l = comp.n // 2
+        out[l], out[l + 1] = out[l + 1], out[l]
+    return out
 
 
 def _basis_elements(family: str, n: int):
@@ -307,61 +278,53 @@ def _basis_elements(family: str, n: int):
 
 def nilradical_intersection_basis(p: BlockComposition, q: BlockComposition):
     """Basis of p_u ∩ q_u as sparse matrices (strictly upper, off-block)."""
-    n = p.n
-    elems, _ = _basis_elements(p.family, n)
-    in_p = _inside_blocks(p)
-    in_q = _inside_blocks(q)
-    out = []
-    for (a, b), entries in sorted(elems.items()):
-        if a < b and not in_p(a, b) and not in_q(a, b):
-            out.append(entries)
-    return out
+    elems, _ = _basis_elements(p.family, p.n)
+    pb, qb = _blocks(p), _blocks(q)
+    return [
+        entries
+        for (a, b), entries in sorted(elems.items())
+        if a < b and pb[a] != pb[b] and qb[a] != qb[b]
+    ]
 
 
 def borel_levi_basis(p: BlockComposition, q: BlockComposition):
     """Basis of b ∩ l ∩ m: upper-triangular matrices inside both Levis."""
-    n = p.n
-    elems, torus = _basis_elements(p.family, n)
-    in_p = _inside_blocks(p)
-    in_q = _inside_blocks(q)
-    out = list(torus)
-    for (a, b), entries in sorted(elems.items()):
-        if a < b and in_p(a, b) and in_q(a, b):
-            out.append(entries)
-    return out
+    elems, torus = _basis_elements(p.family, p.n)
+    pb, qb = _blocks(p), _blocks(q)
+    return list(torus) + [
+        entries
+        for (a, b), entries in sorted(elems.items())
+        if a < b and pb[a] == pb[b] and qb[a] == qb[b]
+    ]
 
 
-def _sparse_to_matrix(entries, n: int) -> Matrix:
-    m = [[0] * n for _ in range(n)]
-    for a, b, c in entries:
-        m[a - 1][b - 1] += c
-    return m
+def _action_rows(acting, module, x) -> list[list[int]]:
+    """Coordinates of [Y, x] on the module basis, one row per acting Y.
 
-
-def _bracket(x: Matrix, y: Matrix) -> Matrix:
-    n = len(x)
-    out = [[0] * n for _ in range(n)]
-    for i in range(n):
-        xi = x[i]
-        oi = out[i]
-        for k in range(n):
-            c = xi[k]
-            if c:
-                yk = y[k]
-                for j in range(n):
-                    if yk[j]:
-                        oi[j] += c * yk[j]
-    for i in range(n):
-        yi = y[i]
-        oi = out[i]
-        for k in range(n):
-            c = yi[k]
-            if c:
-                xk = x[k]
-                for j in range(n):
-                    if xk[j]:
-                        oi[j] -= c * xk[j]
-    return out
+    ``x`` is an (n+1)×(n+1) table indexed from 1.  Module basis elements
+    have disjoint supports and coefficient 1 at their first position,
+    and [b ∩ l ∩ m, p_u ∩ q_u] ⊆ p_u ∩ q_u, so the entries of [Y, x] at
+    those positions are its coordinates.  An entry (a, b, c) of Y adds
+    c·x[b][j] at module positions (a, j) and -c·x[i][a] at module
+    positions (i, b).
+    """
+    in_row: dict[int, list[tuple[int, int]]] = {}
+    in_col: dict[int, list[tuple[int, int]]] = {}
+    for k, entries in enumerate(module):
+        a, b, _ = entries[0]
+        in_row.setdefault(a, []).append((k, b))
+        in_col.setdefault(b, []).append((k, a))
+    rows = []
+    for y in acting:
+        row = [0] * len(module)
+        for a, b, c in y:
+            xb = x[b]
+            for k, j in in_row.get(a, ()):
+                row[k] += c * xb[j]
+            for k, i in in_col.get(b, ()):
+                row[k] -= c * x[i][a]
+        rows.append(row)
+    return rows
 
 
 def generic_orbit_complexity(
@@ -369,7 +332,6 @@ def generic_orbit_complexity(
     q: BlockComposition,
     seed: int = 0,
     samples: int = 3,
-    entry_bound: int = 10**6,
     n_cap: int = 20,
 ) -> int:
     """Codimension of a generic B ∩ L ∩ M orbit on p_u ∩ q_u.
@@ -381,29 +343,22 @@ def generic_orbit_complexity(
     if p.family != q.family or p.n != q.n:
         raise ParabolicError("oracle needs two parabolics of the same group")
     if p.n > n_cap:
-        raise BlockModelError(f"matrix size {p.n} above oracle cap {n_cap}")
+        raise CapExceeded(f"matrix size {p.n} above oracle cap {n_cap}")
     n = p.n
-    module = [_sparse_to_matrix(e, n) for e in nilradical_intersection_basis(p, q)]
-    acting = [_sparse_to_matrix(e, n) for e in borel_levi_basis(p, q)]
+    module = nilradical_intersection_basis(p, q)
+    acting = borel_levi_basis(p, q)
     dim = len(module)
     if dim == 0:
         return 0
     rng = random.Random(seed)
     best = 0
     for _ in range(max(1, samples)):
-        point = [[0] * n for _ in range(n)]
-        for mat in module:
-            c = rng.randint(-entry_bound, entry_bound)
-            for i in range(n):
-                row = mat[i]
-                pi = point[i]
-                for j in range(n):
-                    if row[j]:
-                        pi[j] += c * row[j]
-        rows = [
-            [x for row in _bracket(xi, point) for x in row] for xi in acting
-        ]
-        best = max(best, integer_rank(rows))
+        x = [[0] * (n + 1) for _ in range(n + 1)]
+        for entries in module:
+            c = rng.randint(-_ENTRY_BOUND, _ENTRY_BOUND)
+            for a, b, k in entries:
+                x[a][b] += c * k
+        best = max(best, integer_rank(_action_rows(acting, module, x)))
     return dim - best
 
 

@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 usage error, 2 verification diff,
 3 internal invariant violation or computation failure, 4 a tensor or
-character computation went over its rank, dimension or point cap.
+character computation went over its rank, dimension or point cap, or
+the matrix oracle over its matrix-size cap.
 
 Parabolics are written as block compositions for the classical
 families (``--p 2,2`` or ``--p 2,2,2,2'`` with a stroke) and as the
@@ -83,26 +84,47 @@ def _tsv_cell(v) -> str:
 
 
 def _parse_spec(family: str, n: int | None, text: str):
+    """A parabolic of the group that ``_group(family, n)`` accepted."""
     if family in EXCEPTIONAL_FAMILIES:
         return parse_removed_roots(system_id(family), text)
-    if n is None:
-        raise UsageError(f"--n is required for family {family}")
     return parse_composition(family, n, text)
 
 
 def _group(family: str, n: int | None):
     if family in EXCEPTIONAL_FAMILIES:
+        if n is not None:
+            raise UsageError(f"--n does not apply to the exceptional family {family}")
         return system_id(family)
     if n is None:
         raise UsageError(f"--n is required for family {family}")
     return classical_system_id(family, n)
 
 
-def _parse_range(text: str) -> list[int]:
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        return list(range(int(lo), int(hi) + 1))
-    return [int(text)]
+def _size_range(text: str) -> list[int]:
+    """argparse type: a size such as 8 or an inclusive range such as 4..10."""
+    lo, sep, hi = text.partition("..")
+    try:
+        sizes = list(range(int(lo), int(hi if sep else lo) + 1))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a size or a range lo..hi, got {text!r}") from None
+    if not sizes:
+        raise argparse.ArgumentTypeError(f"empty range {text!r}")
+    return sizes
+
+
+def _int_list(text: str) -> tuple[int, ...]:
+    """argparse type: comma-separated integers such as 1,0,2."""
+    try:
+        return tuple(int(x) for x in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from None
+
+
+def _positive_int(text: str) -> int:
+    """argparse type: an integer of at least 1."""
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return int(text)
 
 
 def cmd_complexity(args) -> int:
@@ -122,13 +144,15 @@ def cmd_classify(args) -> int:
 
 
 def cmd_verify_tables(args) -> int:
+    if args.n is not None and args.family in (None,) + EXCEPTIONAL_FAMILIES:
+        raise UsageError("--n sizes a classical family; give it with --family SL, SO or Sp")
     families = [args.family] if args.family else list(ALL_FAMILIES)
     tasks = []
     for family in families:
         if family in EXCEPTIONAL_FAMILIES:
             tasks.append((family, None))
         elif args.n:
-            tasks.extend((family, n) for n in _parse_range(args.n))
+            tasks.extend((family, n) for n in args.n)
         else:
             lo, hi = DEFAULT_RANGES[family]
             tasks.extend(
@@ -170,6 +194,8 @@ def cmd_decompose(args) -> int:
         closed = example1_closed_form(args.l, args.p, args.q)
         group = classical_system_id("Sp", 2 * args.l)
     else:
+        if len(args.m) != 3:
+            raise UsageError("--m needs three values m1,m2,m3")
         m1, m2, m3 = args.m
         terms = decompose_example2_engine(args.q1, args.q2, args.q3, m1, m2, m3)
         closed = decompose_example2(args.q1, args.q2, args.q3, m1, m2, m3)
@@ -189,8 +215,14 @@ def cmd_decompose(args) -> int:
 
 def cmd_oracle(args) -> int:
     group = _group(args.family, args.n)
-    lam = tuple(int(x) for x in args.lam.split(","))
-    mu = tuple(int(x) for x in args.mu.split(","))
+    lam, mu = args.lam, args.mu
+    for flag, w in (("--lam", lam), ("--mu", mu)):
+        if len(w) != group.rank:
+            raise UsageError(f"{flag} needs {group.rank} coordinates for {group}, got {len(w)}")
+        if min(w) < 0:
+            raise UsageError(f"{flag} must be dominant (no negative coordinate)")
+    if args.method == "lr" and group.family != "A":
+        raise UsageError("--method lr applies to the SL family only")
     terms = tensor_oracle(group, lam, mu, method=args.method)
     if not dimension_check(group, lam, mu, terms):
         print("internal error: dimension conservation failed", file=sys.stderr)
@@ -215,7 +247,7 @@ def cmd_oracle_check(args) -> int:
     family, n = args.family, args.n
     if family in EXCEPTIONAL_FAMILIES:
         raise UsageError("oracle-check applies to the classical families")
-    classical_system_id(family, n)
+    _group(family, n)
     pairs = enumerate_pairs(family, n)
     tasks = [(pair, args.seed, args.seeds, args.cap) for pair in pairs]
     results = _starmap(_oracle_check_one, tasks, args.jobs)
@@ -262,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-tables", help="diff the classification against the bundled tables")
     p.add_argument("--family", default=None, choices=ALL_FAMILIES)
-    p.add_argument("--n", default=None, help="size or range, e.g. 8 or 4..10")
+    p.add_argument("--n", type=_size_range, default=None, help="size or range, e.g. 8 or 4..10")
     p.add_argument("--format", **flags["--format"])
     p.add_argument("--jobs", **flags["--jobs"])
     p.set_defaults(func=cmd_verify_tables)
@@ -279,21 +311,20 @@ def build_parser() -> argparse.ArgumentParser:
     p2.add_argument("--q1", type=int, required=True)
     p2.add_argument("--q2", type=int, required=True)
     p2.add_argument("--q3", type=int, required=True)
-    p2.add_argument("--m", type=lambda s: tuple(int(x) for x in s.split(",")), required=True,
-                    help="m1,m2,m3")
+    p2.add_argument("--m", type=_int_list, required=True, help="m1,m2,m3")
     p2.add_argument("--format", **flags["--format"])
     p2.set_defaults(func=cmd_decompose, dataset="example2")
 
     p = sub.add_parser("oracle", help="tensor product of two irreducibles")
     add_flags(p, "--format")
-    p.add_argument("--lam", required=True, help="fundamental coordinates, e.g. 1,0")
-    p.add_argument("--mu", required=True)
+    p.add_argument("--lam", type=_int_list, required=True, help="fundamental coordinates, e.g. 1,0")
+    p.add_argument("--mu", type=_int_list, required=True)
     p.add_argument("--method", default="peel", choices=("peel", "reflection", "lr"))
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("oracle-check", help="stripping engine vs matrix oracle agreement")
     add_flags(p, "--seed", "--jobs")
-    p.add_argument("--seeds", type=int, default=3)
+    p.add_argument("--seeds", type=_positive_int, default=3)
     p.add_argument("--cap", type=int, default=20, help="largest matrix size the oracle accepts")
     p.set_defaults(func=cmd_oracle_check)
 

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import random
 from itertools import product
 
 import pytest
 
 from dfv.blockmodel import (
     BlockGrid,
+    _action_rows,
     borel_levi_basis,
     build_block_grid,
     chain_complexity,
@@ -17,13 +19,29 @@ from dfv.blockmodel import (
     nilradical_intersection_basis,
     pattern_lower_bound,
     reduce_stroke_pair,
-    _sparse_to_matrix,
-    _bracket,
 )
 from dfv.classifier import enumerate_pairs
-from dfv.complexity import integer_rank, pair_complexity
+from dfv.complexity import pair_complexity
 from dfv.parabolic import BlockComposition, ParabolicError, classical_system_id
 from dfv.complexity import complexity
+from dfv.weights import CapExceeded
+
+
+def _sparse_to_matrix(entries, n):
+    """Dense reference: the n×n matrix of sparse (a, b, c) entries."""
+    m = [[0] * n for _ in range(n)]
+    for a, b, c in entries:
+        m[a - 1][b - 1] += c
+    return m
+
+
+def _bracket(x, y):
+    """Dense reference: the commutator xy - yx."""
+    n = len(x)
+    return [
+        [sum(x[i][k] * y[k][j] - y[i][k] * x[k][j] for k in range(n)) for j in range(n)]
+        for i in range(n)
+    ]
 
 
 def test_grid_spec_examples():
@@ -73,31 +91,38 @@ def test_pattern_bound_below_complexity_small_sweep():
 
 
 def test_matrix_model_bracket_closure():
-    # bracket of b cap l cap m with the module stays inside the module span
+    # [Y, X] for Y in b cap l cap m and X in the module is the combination
+    # of module basis elements with the sparse coordinates of _action_rows
     cases = [
         ("SL", BlockComposition("SL", 5, (2, 3)), BlockComposition("SL", 5, (1, 2, 2))),
         ("Sp", BlockComposition("Sp", 6, (1, 4, 1)), BlockComposition("Sp", 6, (3, 3))),
         ("SO", BlockComposition("SO", 8, (4, 4)), BlockComposition("SO", 8, (2, 2, 2, 2), True)),
         ("SO", BlockComposition("SO", 7, (2, 3, 2)), BlockComposition("SO", 7, (1, 1, 3, 1, 1))),
     ]
+    rng = random.Random(11)
     for family, p, q in cases:
         n = p.n
-        module = [_sparse_to_matrix(e, n) for e in nilradical_intersection_basis(p, q)]
-        acting = [_sparse_to_matrix(e, n) for e in borel_levi_basis(p, q)]
-        if not module:
-            continue
-        flat_module = [[x for row in m for x in row] for m in module]
-        base_rank = integer_rank(flat_module)
-        for xi in acting:
-            for v in module:
-                lie = _bracket(xi, v)
-                rows = flat_module + [[x for row in lie for x in row]]
-                assert integer_rank(rows) == base_rank, (family, p, q)
+        module = nilradical_intersection_basis(p, q)
+        acting = borel_levi_basis(p, q)
+        assert module, (family, p, q)
+        table = [[0] * (n + 1) for _ in range(n + 1)]
+        for entries in module:
+            c = rng.randint(-9, 9)
+            for a, b, k in entries:
+                table[a][b] += c * k
+        x = [row[1:] for row in table[1:]]
+        dense_module = [_sparse_to_matrix(e, n) for e in module]
+        rows = _action_rows(acting, module, table)
+        assert len(rows) == len(acting)
+        for y, row in zip(acting, rows):
+            combo = [
+                [sum(r * m[i][j] for r, m in zip(row, dense_module)) for j in range(n)]
+                for i in range(n)
+            ]
+            assert combo == _bracket(_sparse_to_matrix(y, n), x), (family, p, q, y)
         # borel part is genuinely upper triangular
-        for xi in acting:
-            for i in range(n):
-                for j in range(i):
-                    assert xi[i][j] == 0
+        for y in acting:
+            assert all(a <= b for a, b, _ in y)
 
 
 def test_oracle_spec_examples():
@@ -107,9 +132,7 @@ def test_oracle_spec_examples():
 
 
 def test_oracle_cap():
-    from dfv.blockmodel import BlockModelError
-
-    with pytest.raises(BlockModelError):
+    with pytest.raises(CapExceeded):
         generic_orbit_complexity(
             BlockComposition("SL", 12, (6, 6)), BlockComposition("SL", 12, (6, 6)), n_cap=10
         )

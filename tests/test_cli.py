@@ -57,6 +57,35 @@ def test_classify_needs_n_for_classical_families(capsys):
     assert code == EXIT_USAGE and out == "" and "--n is required" in err
 
 
+def test_n_with_exceptional_family_is_usage_error(capsys):
+    for argv in (
+        ("verify-tables", "--family", "E6", "--n", "4..5"),
+        ("classify", "--family", "G2", "--n", "99"),
+        ("complexity", "--family", "E6", "--n", "3", "--p", "a1", "--q", "a2"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_USAGE and out == "", argv
+        assert err.startswith("error: --n "), argv
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify-tables", "--n", "abc"),
+    ("verify-tables", "--family", "SL", "--n", "5..3"),
+    ("verify-tables", "--n", "8"),
+    ("oracle", "--family", "SL", "--n", "3", "--lam", "1,x", "--mu", "0,1"),
+    ("oracle", "--family", "SL", "--n", "3", "--lam", "1,0,0", "--mu", "0,1"),
+    ("oracle", "--family", "SL", "--n", "3", "--lam=-1,0", "--mu", "0,1"),
+    ("oracle", "--family", "E6", "--lam", "1,0,0,0,0,0", "--mu", "0,0,0,0,0,1", "--method", "lr"),
+    ("oracle-check", "--family", "Sp", "--n", "4", "--seeds", "0"),
+    ("oracle-check", "--family", "SL"),
+    ("decompose", "example2", "--q1", "3", "--q2", "3", "--q3", "3", "--m", "1,1"),
+])
+def test_malformed_input_is_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_USAGE and out == ""
+    assert "error:" in err
+
+
 def test_verify_tables_success(capsys):
     code, out, _ = run(capsys, "verify-tables", "--family", "G2")
     assert code == EXIT_OK and "reproduced exactly" in out
@@ -143,6 +172,12 @@ def test_oracle_cap_exit_code(capsys):
     )
     assert code == EXIT_CAP and out == ""
     assert err.startswith("error: cap exceeded: dim 148500 of weight")
+
+
+def test_oracle_check_matrix_cap_exit_code(capsys):
+    code, out, err = run(capsys, "oracle-check", "--family", "SL", "--n", "6", "--cap", "4")
+    assert code == EXIT_CAP and out == ""
+    assert err == "error: cap exceeded: matrix size 6 above oracle cap 4\n"
 
 
 def test_oracle_check(capsys):
