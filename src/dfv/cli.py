@@ -36,11 +36,14 @@ from .parabolic import (
 )
 from .rootsys import RootSystemError, system_id
 from .sections import (
+    SectionsError,
     decompose_example1,
     decompose_example2,
     decompose_example2_engine,
     eps_to_fundamental,
     example1_closed_form,
+    example1_lattice,
+    example2_lattice,
 )
 from .weights import CapExceeded
 
@@ -190,16 +193,20 @@ def _valid_size(family: str, n: int) -> bool:
 
 def cmd_decompose(args) -> int:
     if args.dataset == "example1":
-        terms = decompose_example1(args.l, args.p, args.q)
-        closed = example1_closed_form(args.l, args.p, args.q)
-        group = classical_system_id("Sp", 2 * args.l)
+        params = (args.l, args.p, args.q)
+        lattice, engine, closed_form = example1_lattice, decompose_example1, example1_closed_form
     else:
         if len(args.m) != 3:
             raise UsageError("--m needs three values m1,m2,m3")
-        m1, m2, m3 = args.m
-        terms = decompose_example2_engine(args.q1, args.q2, args.q3, m1, m2, m3)
-        closed = decompose_example2(args.q1, args.q2, args.q3, m1, m2, m3)
-        group = classical_system_id("SL", args.q1 + args.q2 + args.q3)
+        params = (args.q1, args.q2, args.q3, *args.m)
+        lattice, engine, closed_form = example2_lattice, decompose_example2_engine, decompose_example2
+    # the lattice checks the parameter ranges; a SectionsError after it is a fault
+    try:
+        group = lattice(*params).group
+    except SectionsError as exc:
+        raise UsageError(str(exc)) from None
+    terms = engine(*params)
+    closed = closed_form(*params)
     ek = sorted((t.highest_weight, t.multiplicity) for t in terms)
     ck = sorted((t.highest_weight, t.multiplicity) for t in closed)
     if ek != ck:

@@ -1,16 +1,16 @@
 """Exact lattice-point enumeration for rational polyhedra.
 
-A constraint is (coeffs, rhs) over Fractions, meaning coeffs . x >= rhs.
+A constraint is (coeffs, rhs) over the integers, meaning coeffs . x >= rhs.
 Fourier--Motzkin elimination, run once per system, yields the exact
-projection onto every coordinate prefix; integer points are then scanned
-coordinate by coordinate inside those projections, so no dead branches
-occur and unboundedness is detected before scanning.
+projection onto every coordinate prefix; every row, input or combination,
+is an integer row divided by the gcd of its entries.  Integer points are
+then scanned coordinate by coordinate inside those projections, so no dead
+branches occur and unboundedness is detected before scanning.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import ceil, floor, gcd
+from math import gcd
 
 
 class UnboundedRegion(ValueError):
@@ -23,21 +23,12 @@ class PolyhedronError(ValueError):
     pass
 
 
-def _normalize(coeffs, rhs):
-    nums = [c.numerator for c in coeffs] + [rhs.numerator]
-    dens = [c.denominator for c in coeffs] + [rhs.denominator]
-    scale = 1
-    for d in dens:
-        scale = scale * d // gcd(scale, d)
-    ints = [int(c * scale) for c in coeffs]
-    r = int(rhs * scale)
-    g = 0
-    for v in ints + [r]:
-        g = gcd(g, abs(v))
+def _reduce(coeffs, rhs):
+    """The primitive form of an integer row: divided by the gcd of its entries."""
+    g = gcd(*coeffs, rhs)
     if g > 1:
-        ints = [v // g for v in ints]
-        r = r // g
-    return tuple(ints), r
+        return tuple(c // g for c in coeffs), rhs // g
+    return tuple(coeffs), rhs
 
 
 def _dedupe(cons):
@@ -56,11 +47,11 @@ def _dedupe(cons):
 def fm_prefix_projections(constraints, k: int, limit: int = 50_000):
     """Projections of the solution set onto each coordinate prefix.
 
-    Returns proj[d] (d = 1..k): integer-normalized constraints involving
+    Returns proj[d] (d = 1..k): primitive integer constraints involving
     only x_1..x_d, with proj[k] the full system.  None if the system is
     infeasible over the rationals.
     """
-    cons = _dedupe([_normalize([Fraction(c) for c in co], Fraction(r)) for co, r in constraints])
+    cons = _dedupe([_reduce(co, r) for co, r in constraints])
     if cons is None:
         return None
     proj: list = [None] * (k + 1)
@@ -74,8 +65,8 @@ def fm_prefix_projections(constraints, k: int, limit: int = 50_000):
         for cp, rp in pos:
             for cn, rn in neg:
                 a, b = cp[d - 1], -cn[d - 1]
-                combo = [Fraction(b * cp[j] + a * cn[j]) for j in range(k)]
-                new.append(_normalize(combo, Fraction(b * rp + a * rn)))
+                combo = [b * cp[j] + a * cn[j] for j in range(k)]
+                new.append(_reduce(combo, b * rp + a * rn))
         deduped = _dedupe(new)
         if deduped is None:
             return None

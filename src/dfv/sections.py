@@ -27,9 +27,8 @@ coordinates for the character oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import product
-from math import ceil
+from math import lcm
 
 from .oracle import DecompositionTerm
 from .parabolic import classical_system_id
@@ -122,11 +121,7 @@ def is_dominant_eps(group: RootSystemId, eps) -> bool:
 # -- generic engines -------------------------------------------------------
 
 def _zero_order_inequalities(divisors):
-    return [
-        (tuple(Fraction(c) for c in d.v), Fraction(-d.m))
-        for d in divisors
-        if d.h == 0
-    ]
+    return [(d.v, -d.m) for d in divisors if d.h == 0]
 
 
 def polytope_lattice_points(divisors, lat: LatticeModel):
@@ -199,12 +194,15 @@ def decompose_complexity_one(divisors, lat: LatticeModel) -> list[DecompositionT
     all_unit = all(d.h == 1 for ds in forms.values() for d in ds)
     slack = 0 if all_unit else len(forms)
     for selection in product(*forms.values()):
-        coeffs = [Fraction(0)] * lat.dim
-        rhs = Fraction(-slack)
+        # the cut times L = lcm of the selected h, so that it has integer entries
+        L = lcm(*(d.h for d in selection))
+        coeffs = [0] * lat.dim
+        rhs = -slack * L
         for d in selection:
+            scale = L // d.h
             for i, v in enumerate(d.v):
-                coeffs[i] += Fraction(v, d.h)
-            rhs -= Fraction(d.m, d.h)
+                coeffs[i] += scale * v
+            rhs -= scale * d.m
         ineqs.append((tuple(coeffs), rhs))
     terms = []
     for pt in integer_points(ineqs, lat.dim):
@@ -398,13 +396,7 @@ def decompose_example2(
     )
     # all valuation orders are 1, so "sum of minima >= 0" is exactly the
     # conjunction of the per-selection sums being >= 0
-    ineqs = [(tuple(Fraction(c) for c in co), Fraction(r)) for co, r in box]
-    for sel in product(*groups):
-        coeffs = [Fraction(0)] * 8
-        for co in sel:
-            for i, c in enumerate(co):
-                coeffs[i] += c
-        ineqs.append((tuple(coeffs), Fraction(0)))
+    ineqs = box + [(tuple(map(sum, zip(*sel))), 0) for sel in product(*groups)]
     terms = []
     for a in integer_points(ineqs, 8):
         s_inf, s_zero, s_one = mins(a)

@@ -154,6 +154,18 @@ def test_decompose_example2(capsys):
     assert len(recs) == 4 and all(r["multiplicity"] == 1 for r in recs)
 
 
+@pytest.mark.parametrize("argv", [
+    ("example1", "--l", "0", "--p", "1", "--q", "1"),
+    ("example1", "--l", "2", "--p", "-1", "--q", "1"),
+    ("example2", "--q1", "0", "--q2", "3", "--q3", "3", "--m", "1,1,0"),
+    ("example2", "--q1", "3", "--q2", "3", "--q3", "3", "--m", "1,-1,0"),
+])
+def test_decompose_out_of_range_parameters_are_usage_errors(capsys, argv):
+    code, out, err = run(capsys, "decompose", *argv)
+    assert code == EXIT_USAGE and out == ""
+    assert err.startswith("error: ")
+
+
 def test_oracle_and_methods(capsys):
     for method in ("peel", "reflection"):
         code, out, _ = run(

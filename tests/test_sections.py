@@ -2,11 +2,18 @@
 
 from __future__ import annotations
 
+import random
 from itertools import product
 
 import pytest
 
-from dfv.oracle import DecompositionTerm, dimension_check, lr_tensor, tensor_product
+from dfv.oracle import (
+    DecompositionTerm,
+    dimension_check,
+    lr_tensor,
+    tensor_product,
+    tensor_product_reflection,
+)
 from dfv.parabolic import classical_system_id
 from dfv.polyhedra import UnboundedRegion, integer_points
 from dfv.sections import (
@@ -15,6 +22,7 @@ from dfv.sections import (
     ONE,
     ZERO,
     DivisorDatum,
+    LatticeModel,
     SectionsError,
     decompose_complexity_one,
     decompose_example1,
@@ -138,6 +146,42 @@ def test_section_multiplicity_corner_cases():
     assert section_multiplicity(divisors, lat, (0, -1, 0, 0, 0, 0, 0, 0)) == 0
 
 
+# -- complexity one with valuation orders above 1 -----------------------------
+
+# SL_3 with the simple roots as lattice basis; the shift 9 w_1 + 9 w_2 keeps
+# every weight of the box |x_i| <= 3 dominant
+_SL3 = LatticeModel(classical_system_id("SL", 3), ((1, -1, 0), (0, 1, -1)), (18, 9, 0))
+_BOX = tuple(DivisorDatum(v=v, m=3) for v in ((1, 0), (-1, 0), (0, 1), (0, -1)))
+
+
+def _random_valued_data(rng):
+    """Box walls at +-3 and one or two divisors with h in 1..3 per center."""
+    divisors = list(_BOX)
+    for z in rng.sample((ZERO, ONE, INFINITY), rng.randint(1, 3)):
+        for _ in range(rng.randint(1, 2)):
+            v = (rng.randint(-2, 2), rng.randint(-2, 2))
+            divisors.append(DivisorDatum(v=v, m=rng.randint(-2, 3), h=rng.randint(1, 3), z=z))
+    return tuple(divisors)
+
+
+def test_complexity_one_with_valuation_orders_matches_brute_force():
+    rng = random.Random(11)
+    with_h_above_1 = 0
+    top_mult = 0
+    for _ in range(500):
+        divisors = _random_valued_data(rng)
+        brute = []
+        for pt in product(range(-3, 4), repeat=2):
+            mult = section_multiplicity(divisors, _SL3, pt)
+            if mult > 0:
+                brute.append((_SL3.weight_of(pt), mult))
+                top_mult = max(top_mult, mult)
+        assert multiset(decompose_complexity_one(divisors, _SL3)) == sorted(brute), divisors
+        if brute and any(d.h > 1 for d in divisors):
+            with_h_above_1 += 1
+    assert with_h_above_1 >= 200 and top_mult >= 2, (with_h_above_1, top_mult)
+
+
 # -- dataset 1 ---------------------------------------------------------------
 
 def test_example1_basic_decompositions():
@@ -160,6 +204,16 @@ def test_example1_engine_equals_closed_form_and_oracle():
                 assert fund == sorted(tensor_product(group, lam, mu, dim_cap=None).items())
                 terms = [DecompositionTerm(w, m) for w, m in fund]
                 assert dimension_check(group, lam, mu, terms)
+
+
+def test_example1_against_reflection_oracle_for_l_5_and_6():
+    for l in (5, 6):
+        group = classical_system_id("Sp", 2 * l)
+        for p, q in product(range(4), repeat=2):
+            lam = tuple([p] + [0] * (l - 1))
+            mu = tuple([0] * (l - 1) + [q])
+            reflection = tensor_product_reflection(group, lam, mu)
+            assert to_fund(group, decompose_example1(l, p, q)) == sorted(reflection.items())
 
 
 def test_example1_parity_through_lattice():
@@ -197,6 +251,19 @@ def test_example2_off_symmetric_sizes():
     lam = tuple(1 if i == 2 else 0 for i in range(9))
     mu = tuple(1 if i == 3 else 0 for i in range(9))
     assert to_fund(group, engine) == sorted(lr_tensor(10, lam, mu).items())
+
+
+@pytest.mark.parametrize("q", [(3, 3, 4), (3, 4, 3), (4, 3, 3), (4, 4, 4), (3, 5, 4)])
+def test_example2_engine_closed_form_and_lr_agree(q):
+    n = sum(q)
+    group = classical_system_id("SL", n)
+    for m1, m2, m3 in product(range(3), repeat=3):
+        engine = decompose_example2_engine(*q, m1, m2, m3)
+        assert multiset(engine) == multiset(decompose_example2(*q, m1, m2, m3))
+        lam = tuple(m1 if i == 2 else 0 for i in range(n - 1))  # m1 w_3
+        # m2 w_{q1} + m3 w_{q1+q2}
+        mu = tuple(m2 if i == q[0] - 1 else m3 if i == q[0] + q[1] - 1 else 0 for i in range(n - 1))
+        assert to_fund(group, engine) == sorted(lr_tensor(n, lam, mu).items()), (m1, m2, m3)
 
 
 def test_example2_center_assignment_is_load_bearing():
