@@ -26,7 +26,7 @@ from .parabolic import (
     composition_to_subset,
     subset_to_composition,
 )
-from .rootsys import RootSystem, RootSystemId, build_root_system, in_integer_span, minimal_root, system_id
+from .rootsys import RootSystem, RootSystemId, build_root_system, system_id
 from .sections import (
     DivisorDatum,
     LatticeModel,

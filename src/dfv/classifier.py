@@ -120,9 +120,7 @@ def enumerate_pairs(family: str, n: int | None = None) -> list[ParabolicPair]:
     return sorted(seen, key=ParabolicPair.sort_key)
 
 
-def classify(
-    family: str, n: int | None = None, cmax: int = 1, tie_break: str = "lex"
-) -> list[ClassificationRow]:
+def classify(family: str, n: int | None = None, cmax: int = 1) -> list[ClassificationRow]:
     """All symmetry orbits with complexity <= cmax, with exact values.
 
     Complexity never decreases when a parabolic shrinks, so every pair
@@ -145,7 +143,7 @@ def classify(
     kept = {}
     while todo:
         rp, rq = todo.pop()
-        c = complexity(rsid, levi(rp), levi(rq), tie_break)
+        c = complexity(rsid, levi(rp), levi(rq))
         if c > cmax:
             continue
         kept[(rp, rq)] = c

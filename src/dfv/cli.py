@@ -134,13 +134,13 @@ def cmd_complexity(args) -> int:
     group = _group(args.family, args.n)
     p = _parse_spec(args.family, args.n, args.p)
     q = _parse_spec(args.family, args.n, args.q)
-    print(complexity(group, p, q, tie_break=args.tie_break))
+    print(complexity(group, p, q))
     return EXIT_OK
 
 
 def cmd_classify(args) -> int:
     _group(args.family, args.n)  # usage error if a classical family has no --n
-    rows = classify(args.family, args.n, cmax=args.cmax, tie_break=args.tie_break)
+    rows = classify(args.family, args.n, cmax=args.cmax)
     rows.sort(key=lambda r: (r.complexity, r.pair.sort_key()))
     Emitter(args.format).records([row_record(args.family, args.n, r) for r in rows])
     return EXIT_OK
@@ -276,7 +276,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     flags = {
         "--format": dict(default="pretty", choices=("json", "tsv", "pretty")),
-        "--tie-break": dict(default="lex", choices=("lex", "revlex")),
         "--seed": dict(type=int, default=0),
         "--jobs": dict(type=int, default=1, help="worker processes for sweeps"),
     }
@@ -289,13 +288,13 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument(name, **flags[name])
 
     p = sub.add_parser("complexity", help="complexity of one pair of parabolics")
-    add_flags(p, "--tie-break")
+    add_flags(p)
     p.add_argument("--p", required=True)
     p.add_argument("--q", required=True)
     p.set_defaults(func=cmd_complexity)
 
     p = sub.add_parser("classify", help="all pairs of complexity <= cmax")
-    add_flags(p, "--format", "--tie-break")
+    add_flags(p, "--format")
     p.add_argument("--cmax", type=int, default=1)
     p.set_defaults(func=cmd_classify)
 

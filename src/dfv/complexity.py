@@ -28,10 +28,7 @@ from .rootsys import (
     RootSystemId,
     RootSystemError,
     build_root_system,
-    minimal_root,
 )
-
-_TIE_BREAK_NAMES = ("lex", "revlex")
 
 
 class ComplexityError(RuntimeError):
@@ -84,24 +81,23 @@ def intersection_weight_sets(rs: RootSystem, levi_i, levi_j) -> WeightSetPair:
     return WeightSetPair(rs.id, E, F)
 
 
-def strip(pair: WeightSetPair, tie_break: str = "lex") -> StrippingResult:
+def strip(pair: WeightSetPair) -> StrippingResult:
     """Run the weight-stripping reduction on (E, F).
 
     Each round removes a minimal weight mu of F, every alpha in E with
     alpha + mu still in F, and the translated weights alpha + mu.  F
     strictly shrinks, so termination is guaranteed; this is asserted.
+    Minimal means least in the height-then-lex order of the index table.
     """
-    if tie_break not in _TIE_BREAK_NAMES:
-        minimal_root((), tie_break)  # raises with a uniform message
     ix = build_root_system(pair.system).indexed()
-    rank_of = ix.rank_by_tie[tie_break]
+    rank_of = ix.rank.__getitem__
     table = ix.add_table
     E = {ix.index[a] for a in pair.E}
     F = {ix.index[a] for a in pair.F}
     mus: list[int] = []
     while F:
         before = len(F)
-        mu = min(F, key=rank_of.__getitem__)
+        mu = min(F, key=rank_of)
         mus.append(mu)
         moved = [(a, table[a][mu]) for a in E if table[a][mu] in F]
         for a, t in moved:
@@ -162,17 +158,13 @@ def integer_rank(vectors) -> int:
 
 
 @lru_cache(maxsize=200_000)
-def _complexity_from_subsets(
-    rsid: RootSystemId, levi_i: frozenset, levi_j: frozenset, tie_break: str
-) -> int:
+def _complexity_from_subsets(rsid: RootSystemId, levi_i: frozenset, levi_j: frozenset) -> int:
     rs = build_root_system(rsid)
     pair = intersection_weight_sets(rs, levi_i, levi_j)
-    return strip(pair, tie_break).complexity
+    return strip(pair).complexity
 
 
-def complexity(
-    group: RootSystemId, p: ParabolicSpec, q: ParabolicSpec, tie_break: str = "lex"
-) -> int:
+def complexity(group: RootSystemId, p: ParabolicSpec, q: ParabolicSpec) -> int:
     """Complexity of G/P x G/Q for a simple group of the given type."""
     si = as_subset(p)
     sj = as_subset(q)
@@ -180,7 +172,7 @@ def complexity(
         raise RootSystemError(
             f"parabolic data for {si.system}/{sj.system} does not match group {group}"
         )
-    return _complexity_from_subsets(group, si.levi, sj.levi, tie_break)
+    return _complexity_from_subsets(group, si.levi, sj.levi)
 
 
 def dimension_lower_bound(group: RootSystemId, p: ParabolicSpec, q: ParabolicSpec) -> Fraction:
@@ -208,6 +200,6 @@ def _levi_root_count(rsid: RootSystemId, levi: frozenset) -> int:
     return sum(1 for a in rs.all_roots if rs.support_mask(a) & ~mask == 0)
 
 
-def pair_complexity(pair, tie_break: str = "lex") -> int:
+def pair_complexity(pair) -> int:
     """Complexity of a ParabolicPair."""
-    return complexity(spec_system(pair.p), pair.p, pair.q, tie_break)
+    return complexity(spec_system(pair.p), pair.p, pair.q)

@@ -21,19 +21,13 @@ so in E6 the nodes 1 and 5 are the ends of the A5 chain and node 6 is
 the branch node; in E7 node 1 is the end of the long leg; in E8 node 1
 is the end of the longest leg.  All simple-root indices in this package
 are 1-based.
-
-Each system also carries an "ambient" realization: a rational matrix
-sending simple-root coordinates to an orthogonal coordinate system, used
-for display and for cross-checks in the epsilon notation (for E6 the
-ambient coordinates are (eps_1..eps_6, eps) with sum(eps_i) = 0 and the
-extra coordinate of square length 1/2).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 
 Coords = tuple[int, ...]
 
@@ -130,79 +124,20 @@ def cartan_matrix(rsid: RootSystemId) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(row) for row in c)
 
 
-def _symmetrizer(cartan: tuple[tuple[int, ...], ...]) -> tuple[Fraction, ...]:
-    """d_i with d_i * C[i][j] == d_j * C[j][i] (d_i = |alpha_i|^2 / 2, long = 1)."""
+def _symmetrizer(cartan: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
+    """Primitive integer d with d[i] * C[i][j] == d[j] * C[j][i] (d[i] ~ |alpha_i|^2)."""
     r = len(cartan)
-    d: list[Fraction | None] = [None] * r
-    d[0] = Fraction(1)
-    changed = True
-    while changed:
-        changed = False
-        for i in range(r):
-            for j in range(r):
-                if cartan[i][j] != 0 and d[i] is not None and d[j] is None:
-                    d[j] = d[i] * Fraction(cartan[i][j], cartan[j][i])
-                    changed = True
-    assert all(x is not None for x in d)
-    top = max(x for x in d)  # type: ignore[type-var]
-    return tuple(x / top for x in d)  # type: ignore[operator]
-
-
-def _ambient_columns(rsid: RootSystemId) -> tuple[tuple[Fraction, ...], ...]:
-    """Ambient coordinates of each simple root (one column per simple root)."""
-    r = rsid.rank
-    fam = rsid.family
-
-    def e(i: int, dim: int, val: int | Fraction = 1) -> list[Fraction]:
-        v = [Fraction(0)] * dim
-        v[i] = Fraction(val)
-        return v
-
-    def diff(i: int, dim: int) -> tuple[Fraction, ...]:
-        v = e(i, dim)
-        v[i + 1] -= 1
-        return tuple(v)
-
-    cols: list[tuple[Fraction, ...]] = []
-    if fam == "A":
-        cols = [diff(i, r + 1) for i in range(r)]
-    elif fam == "B":
-        cols = [diff(i, r) for i in range(r - 1)] + [tuple(e(r - 1, r))]
-    elif fam == "C":
-        cols = [diff(i, r) for i in range(r - 1)] + [tuple(e(r - 1, r, 2))]
-    elif fam == "D":
-        last = e(r - 2, r)
-        last[r - 1] += 1
-        cols = [diff(i, r) for i in range(r - 1)] + [tuple(last)]
-    elif fam == "E6":
-        # coordinates (eps_1..eps_6, eps); eps parts normalized to sum 0
-        cols = [diff(i, 7) for i in range(5)]
-        half = Fraction(1, 2)
-        cols.append((-half, -half, -half, half, half, half, Fraction(1)))
-    elif fam == "E7":
-        cols = [diff(i, 8) for i in range(6)]
-        half = Fraction(1, 2)
-        cols.append((-half, -half, -half, -half, half, half, half, half))
-    elif fam == "E8":
-        cols = [diff(i, 9) for i in range(7)]
-        third = Fraction(1, 3)
-        col = [-third] * 9
-        for i in (5, 6, 7):
-            col[i] = 2 * third
-        cols.append(tuple(col))
-    elif fam == "F4":
-        cols = [
-            (Fraction(0), Fraction(1), Fraction(-1), Fraction(0)),
-            (Fraction(0), Fraction(0), Fraction(1), Fraction(-1)),
-            (Fraction(0), Fraction(0), Fraction(0), Fraction(1)),
-            (Fraction(1, 2), Fraction(-1, 2), Fraction(-1, 2), Fraction(-1, 2)),
-        ]
-    elif fam == "G2":
-        cols = [
-            (Fraction(-2), Fraction(1), Fraction(1)),
-            (Fraction(1), Fraction(-1), Fraction(0)),
-        ]
-    return tuple(cols)
+    d = [0] * r
+    d[0] = 6  # divisible by every ratio C[i][j] / C[j][i] of a simple type
+    frontier = [0]
+    while frontier:
+        i = frontier.pop()
+        for j in range(r):
+            if cartan[i][j] and not d[j]:
+                d[j] = d[i] * cartan[i][j] // cartan[j][i]
+                frontier.append(j)
+    g = gcd(*d)
+    return tuple(x // g for x in d)
 
 
 _ROOT_COUNTS = {
@@ -219,10 +154,12 @@ _ROOT_COUNTS = {
 
 
 class RootSystem:
-    """All roots of one simple type, with support/height/pairing helpers.
+    """All positive and negative roots of one simple type, with support masks.
 
-    Immutable after construction; instances are cached and may be shared
-    freely between threads.
+    Also carries the Cartan matrix, its primitive integer symmetrizer and
+    the integer-indexed tables of the stripping engine.  Immutable after
+    construction; instances are cached and may be shared freely between
+    threads.
     """
 
     def __init__(self, rsid: RootSystemId):
@@ -245,7 +182,6 @@ class RootSystem:
                 f"{rsid}: built {len(self.all_roots)} roots, expected {expected}"
             )
         self.symmetrizer = _symmetrizer(self.cartan)
-        self.ambient_columns = _ambient_columns(rsid)
         self._support: dict[Coords, int] = {
             a: _support_mask(a) for a in self.all_roots
         }
@@ -277,36 +213,8 @@ class RootSystem:
 
     # -- queries ------------------------------------------------------
 
-    def is_root(self, a: Coords) -> bool:
-        return a in self.all_roots
-
     def support_mask(self, a: Coords) -> int:
         return self._support[a]
-
-    def support(self, a: Coords) -> frozenset[int]:
-        """1-based indices of the simple roots occurring in a."""
-        return frozenset(i + 1 for i, c in enumerate(a) if c != 0)
-
-    def pairing(self, a: Coords, i: int) -> int:
-        """<a, alpha_i^vee> for a 1-based simple index i."""
-        row = self.cartan[i - 1]
-        return sum(a[j] * row[j] for j in range(self.rank))
-
-    def reflect(self, a: Coords, i: int) -> Coords:
-        """Simple reflection s_i applied to a root (1-based i)."""
-        k = self.pairing(a, i)
-        b = list(a)
-        b[i - 1] -= k
-        return tuple(b)
-
-    @property
-    def n_positive(self) -> int:
-        return len(self.positive_roots)
-
-    @property
-    def dimension(self) -> int:
-        """dim of the corresponding group: rank + number of roots."""
-        return self.rank + len(self.all_roots)
 
     def mask_of(self, indices) -> int:
         m = 0
@@ -315,18 +223,6 @@ class RootSystem:
                 raise RootSystemError(f"simple-root index {i} out of range for {self.id}")
             m |= 1 << (i - 1)
         return m
-
-    def to_ambient(self, a: Coords) -> tuple[Fraction, ...]:
-        dim = len(self.ambient_columns[0])
-        out = [Fraction(0)] * dim
-        for coef, col in zip(a, self.ambient_columns):
-            if coef:
-                for k in range(dim):
-                    out[k] += coef * col[k]
-        return tuple(out)
-
-    def highest_root(self) -> Coords:
-        return self.positive_roots[-1]
 
     # -- indexed fast path (lazily built) -------------------------------
 
@@ -343,7 +239,12 @@ class RootSystem:
 
 
 class _IndexedRoots:
-    """Root addition table and minimality ranks over integer indices."""
+    """Root addition table and the minimality rank over integer indices.
+
+    rank[i] is the position of roots[i] in the order by height, ties
+    broken towards mass on earlier simple roots (so alpha_1 before
+    alpha_2); the stripping engine extracts the root of least rank.
+    """
 
     def __init__(self, rs: RootSystem):
         self.roots: tuple[Coords, ...] = tuple(sorted(rs.all_roots))
@@ -360,13 +261,10 @@ class _IndexedRoots:
                     row[j] = k
             table.append(row)
         self.add_table = table
-        self.rank_by_tie: dict[str, list[int]] = {}
-        for tie, key in _TIE_BREAKS.items():
-            order = sorted(range(n), key=lambda i: (height(self.roots[i]), key(self.roots[i])))
-            rank = [0] * n
-            for pos, i in enumerate(order):
-                rank[i] = pos
-            self.rank_by_tie[tie] = rank
+        order = sorted(range(n), key=lambda i: (height(self.roots[i]), negate(self.roots[i])))
+        self.rank = [0] * n
+        for pos, i in enumerate(order):
+            self.rank[i] = pos
 
 
 def _support_mask(a: Coords) -> int:
@@ -405,74 +303,3 @@ def add(a: Coords, b: Coords) -> Coords:
 def build_root_system(rsid: RootSystemId) -> RootSystem:
     """Construct (and cache) the full root system for a valid id."""
     return RootSystem(rsid)
-
-
-def in_integer_span(rs: RootSystem, a: Coords, levi) -> bool:
-    """Whether a lies in the integer span of the simple roots indexed by levi.
-
-    Since simple roots are linearly independent this is a support test.
-    """
-    if a not in rs.all_roots:
-        raise RootSystemError(f"{a} is not a root of {rs.id}")
-    return rs.support_mask(a) & ~rs.mask_of(levi) == 0
-
-
-# Tie-break orders for minimal_root.  Both refine the height order; "lex"
-# prefers mass on earlier simple roots (so {alpha_1, alpha_2} -> alpha_1),
-# "revlex" is the opposite and exists to show results do not depend on
-# the choice.
-_TIE_BREAKS = {
-    "lex": lambda a: tuple(-c for c in a),
-    "revlex": lambda a: a,
-}
-
-
-def minimal_root(roots, tie_break: str = "lex") -> Coords:
-    """Minimum of a nonempty set of roots by height, ties by tie_break."""
-    try:
-        key = _TIE_BREAKS[tie_break]
-    except KeyError:
-        raise RootSystemError(f"unknown tie_break {tie_break!r}") from None
-    it = iter(roots)
-    try:
-        best = next(it)
-    except StopIteration:
-        raise RootSystemError("minimal_root of an empty set") from None
-    best_key = (height(best), key(best))
-    for a in it:
-        k = (height(a), key(a))
-        if k < best_key:
-            best, best_key = a, k
-    return best
-
-
-# -- E6 epsilon notation -------------------------------------------------
-
-def e6_epsilon_form(rs: RootSystem, a: Coords):
-    """Classify an E6 root in the (eps_1..eps_6, eps) notation.
-
-    Returns one of
-        ("diff", i, j)        for eps_i - eps_j,
-        ("triple", (i, j, k), s) for s * (eps_i + eps_j + eps_k + eps),
-        ("2eps", s)           for s * 2 eps.
-    """
-    if rs.id.family != "E6":
-        raise RootSystemError("epsilon form is defined for E6 only")
-    amb = rs.to_ambient(a)
-    eps_part, e_coef = amb[:6], amb[6]
-    if e_coef == 0:
-        plus = [i + 1 for i, c in enumerate(eps_part) if c == 1]
-        minus = [i + 1 for i, c in enumerate(eps_part) if c == -1]
-        if len(plus) == 1 and len(minus) == 1:
-            return ("diff", plus[0], minus[0])
-        raise RootSystemError(f"unrecognized E6 root {a}")
-    if e_coef in (2, -2):
-        if all(c == 0 for c in eps_part):
-            return ("2eps", 1 if e_coef == 2 else -1)
-        raise RootSystemError(f"unrecognized E6 root {a}")
-    sign = 1 if e_coef == 1 else -1
-    shifted = [sign * c + Fraction(1, 2) for c in eps_part]
-    idx = tuple(i + 1 for i, c in enumerate(shifted) if c == 1)
-    if len(idx) == 3 and all(c in (0, 1) for c in shifted):
-        return ("triple", idx, sign)
-    raise RootSystemError(f"unrecognized E6 root {a}")

@@ -19,7 +19,7 @@ Two concrete datasets are bundled, with their printed closed forms:
 * ``example2_*`` -- SL_n: the pair (3, n-3), (q1, q2, q3), q_i >= 3,
   decomposing V_{m1 w_3} (x) V_{m2 w_{q1} + m3 w_{q1+q2}} (complexity 1).
 
-Weights of decomposition terms are reported in the epsilon (ambient)
+Weights of decomposition terms are reported in the epsilon
 coordinates of the classical group and can be converted to fundamental
 coordinates for the character oracle.
 """

@@ -42,8 +42,8 @@ class WeightLattice:
         rs: RootSystem = build_root_system(rsid)
         self.rs = rs
         self.cartan = rs.cartan
-        # d[j]: |alpha_j|^2 / 2 times the least common denominator
-        self.d: tuple[int, ...] = _scale_to_integers(rs.symmetrizer)[1]
+        # d[j]: |alpha_j|^2 up to one common factor (primitive integers)
+        self.d: tuple[int, ...] = rs.symmetrizer
         # fundamental coordinates of alpha_j are the j-th Cartan column
         self.simple_fw: tuple[Weight, ...] = tuple(
             tuple(self.cartan[i][j] for i in range(self.rank)) for j in range(self.rank)

@@ -37,12 +37,14 @@ def test_usage_errors(capsys):
 
 def test_subcommands_reject_flags_they_do_not_read(capsys):
     pair = ("--family", "SL", "--n", "4", "--p", "2,2", "--q", "2,2")
-    for flag in (("--seed", "1"), ("--jobs", "2"), ("--format", "json")):
+    for flag in (("--seed", "1"), ("--jobs", "2"), ("--format", "json"), ("--tie-break", "revlex")):
         code, _, err = run(capsys, "complexity", *pair, *flag)
         assert code == EXIT_USAGE and "unrecognized arguments" in err
     for flag in (("--seed", "1"), ("--jobs", "2")):
         code, _, _ = run(capsys, "classify", "--family", "SL", "--n", "4", *flag)
         assert code == EXIT_USAGE
+    code, _, err = run(capsys, "classify", "--family", "SL", "--n", "4", "--tie-break", "revlex")
+    assert code == EXIT_USAGE and "unrecognized arguments" in err
     lam_mu = ("--family", "Sp", "--n", "4", "--lam", "1,0", "--mu", "0,1")
     for flag in (("--seed", "1"), ("--jobs", "2"), ("--tie-break", "revlex")):
         code, _, _ = run(capsys, "oracle", *lam_mu, *flag)

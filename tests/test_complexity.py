@@ -16,7 +16,7 @@ from dfv.complexity import (
     strip,
 )
 from dfv.parabolic import BlockComposition, SimpleRootSubset, classical_system_id
-from dfv.rootsys import build_root_system, e6_epsilon_form, system_id
+from dfv.rootsys import build_root_system, system_id
 
 E6 = system_id("E6")
 E7 = system_id("E7")
@@ -43,7 +43,8 @@ def test_e6_worked_example():
     assert len(pair.F) == 8
     assert len(pair.E) == 24
     res = strip(pair)
-    assert [e6_epsilon_form(rs, m) for m in res.mus] == [("diff", 1, 6), ("2eps", 1)]
+    # eps_1 - eps_6 and 2 eps, as test_rootsys.py::test_e6_epsilon_forms pins
+    assert list(res.mus) == [(1, 1, 1, 1, 1, 0), (1, 2, 3, 2, 1, 2)]
     assert res.n_weights == 2 and res.rank == 2 and res.complexity == 0
 
 
@@ -53,7 +54,8 @@ def test_strip_trivial_cases():
     assert empty.mus == () and empty.complexity == 0
     # with E empty every positive root is extracted in minimal order
     allpos = strip(WeightSetPair(rs.id, frozenset(), frozenset(rs.positive_roots)))
-    assert set(allpos.mus) == set(rs.positive_roots)
+    # height first, then mass on earlier simple roots: alpha_1 before alpha_2
+    assert allpos.mus == ((1, 0), (0, 1), (1, 1))
     assert allpos.n_weights == 3 and allpos.rank == 2 and allpos.complexity == 1
 
 
@@ -162,16 +164,32 @@ def test_weight_set_pair_invariants_enforced():
         WeightSetPair(rs.id, frozenset({(1, 0)}), frozenset({(0, 1)}))
 
 
-def test_tie_break_independence_on_survey():
-    # the choice of minimal-root tie-break never changes a complexity on
-    # the full exceptional survey suite
-    from dfv.classifier import survey_rows
+def test_tie_break_independence_on_survey(monkeypatch):
+    # breaking height ties the other way (mass on later simple roots
+    # first) changes many mu sequences but never a complexity, on the
+    # full exceptional survey and on every F4 pair
+    from dfv.classifier import enumerate_pairs, survey_rows
 
-    for fam in ("E6", "E7", "E8"):
-        for pair, expected_c in survey_rows(fam):
-            a = complexity(pair.p.system, pair.p, pair.q, tie_break="lex")
-            b = complexity(pair.p.system, pair.p, pair.q, tie_break="revlex")
-            assert a == b == expected_c
+    cases = [(fam, survey_rows(fam)) for fam in ("E6", "E7", "E8")]
+    cases.append(("F4", [(pair, None) for pair in enumerate_pairs("F4")]))
+    changed = 0
+    for fam, rows in cases:
+        rs = build_root_system(system_id(fam))
+        ix = rs.indexed()
+        order = sorted(range(len(ix.roots)), key=lambda i: (sum(ix.roots[i]), ix.roots[i]))
+        revlex = [0] * len(order)
+        for pos, i in enumerate(order):
+            revlex[i] = pos
+        weight_sets = [
+            intersection_weight_sets(rs, pair.p.levi, pair.q.levi) for pair, _ in rows
+        ]
+        lex = [strip(ws) for ws in weight_sets]
+        monkeypatch.setattr(ix, "rank", revlex)
+        rev = [strip(ws) for ws in weight_sets]
+        assert [r.complexity for r in rev] == [r.complexity for r in lex]
+        assert all(c in (None, r.complexity) for (_, c), r in zip(rows, lex))
+        changed += sum(a.mus != b.mus for a, b in zip(lex, rev))
+    assert changed > 0
 
 
 def test_complexity_constant_on_symmetry_orbit():
