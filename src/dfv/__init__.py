@@ -33,10 +33,8 @@ from .sections import (
     decompose_complexity_one,
     decompose_example1,
     decompose_example2,
-    decompose_multiplicity_free,
     example1_divisor_data,
     example2_divisor_data,
-    polytope_lattice_points,
     section_multiplicity,
 )
 

@@ -29,6 +29,13 @@ from .parabolic import BlockComposition, ParabolicError
 from .weights import CapExceeded
 
 _ENTRY_BOUND = 10**6  # entries of the oracle's random points lie in [-bound, bound]
+_MATRIX_CAP = 20  # largest matrix size n the oracle accepts
+
+
+def check_matrix_cap(n: int) -> None:
+    """Raise CapExceeded if the oracle refuses matrices of size n."""
+    if n > _MATRIX_CAP:
+        raise CapExceeded(f"matrix size {n} above oracle cap {_MATRIX_CAP}")
 
 
 class BlockModelError(RuntimeError):
@@ -332,7 +339,6 @@ def generic_orbit_complexity(
     q: BlockComposition,
     seed: int = 0,
     samples: int = 3,
-    n_cap: int = 20,
 ) -> int:
     """Codimension of a generic B ∩ L ∩ M orbit on p_u ∩ q_u.
 
@@ -342,8 +348,7 @@ def generic_orbit_complexity(
     """
     if p.family != q.family or p.n != q.n:
         raise ParabolicError("oracle needs two parabolics of the same group")
-    if p.n > n_cap:
-        raise CapExceeded(f"matrix size {p.n} above oracle cap {n_cap}")
+    check_matrix_cap(p.n)
     n = p.n
     module = nilradical_intersection_basis(p, q)
     acting = borel_levi_basis(p, q)
@@ -360,10 +365,6 @@ def generic_orbit_complexity(
                 x[a][b] += c * k
         best = max(best, integer_rank(_action_rows(acting, module, x)))
     return dim - best
-
-
-def module_dimension(p: BlockComposition, q: BlockComposition) -> int:
-    return len(nilradical_intersection_basis(p, q))
 
 
 # -- chain configurations -------------------------------------------------

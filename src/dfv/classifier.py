@@ -24,6 +24,7 @@ from .parabolic import (
     BlockComposition,
     ParabolicError,
     ParabolicPair,
+    ParabolicSpec,
     SimpleRootSubset,
     canonical_pair,
     classical_system_id,
@@ -62,62 +63,42 @@ def _exceptional_data():
 
 # -- enumeration ----------------------------------------------------------
 
-def _compositions(n: int):
-    if n == 0:
-        yield ()
-        return
-    for k in range(1, n + 1):
-        for rest in _compositions(n - k):
-            yield (k,) + rest
+def _group(family: str, n: int | None) -> RootSystemId:
+    if family in EXCEPTIONAL_FAMILIES:
+        return system_id(family)
+    if n is None:
+        raise ParabolicError(f"classical family {family} needs n")
+    return classical_system_id(family, n)
 
 
-def enumerate_parabolics(family: str, n: int) -> list[BlockComposition]:
-    """All block parabolics of the group, stroked variants included."""
-    classical_system_id(family, n)
-    out = set()
-    for sizes in _compositions(n):
-        if family != "SL" and sizes != sizes[::-1]:
-            continue
-        comp = BlockComposition(family, n, sizes)
-        out.add(comp)
-        if family == "SO" and n % 2 == 0 and not comp.has_central_block():
-            out.add(BlockComposition(family, n, comp.sizes, True))
-    return sorted(out, key=BlockComposition.sort_key)
+def _spec(rsid: RootSystemId, removed) -> ParabolicSpec:
+    """The parabolic without the given simple roots, in the family's notation.
+
+    Block compositions for the classical families, simple-root subsets
+    for the exceptional ones.
+    """
+    spec = SimpleRootSubset(rsid, frozenset(range(1, rsid.rank + 1)).difference(removed))
+    return spec if rsid.family in EXCEPTIONAL_FAMILIES else subset_to_composition(spec)
+
+
+def _all_specs(rsid: RootSystemId) -> list[ParabolicSpec]:
+    """The parabolic of every removed-root set, G first."""
+    r = rsid.rank
+    return [_spec(rsid, c) for k in range(r + 1) for c in combinations(range(1, r + 1), k)]
 
 
 def enumerate_pairs(family: str, n: int | None = None) -> list[ParabolicPair]:
     """Canonical representatives of every symmetry orbit of pairs.
 
-    Includes the endpoints P = G and P = B.
+    Every parabolic is named by its removed simple roots, so the 2^r
+    removed sets give each parabolic once.  Includes the endpoints
+    P = G and P = B.
     """
-    if family in EXCEPTIONAL_FAMILIES:
-        rsid = system_id(family)
-        r = rsid.rank
-        subsets = [
-            frozenset(c) for k in range(r + 1) for c in combinations(range(1, r + 1), k)
-        ]
-        out = []
-        for a in range(len(subsets)):
-            for b in range(a, len(subsets)):
-                out.append(
-                    ParabolicPair(
-                        SimpleRootSubset(rsid, subsets[a]),
-                        SimpleRootSubset(rsid, subsets[b]),
-                    )
-                )
-        return sorted(
-            {canonical_pair(p) for p in out}, key=ParabolicPair.sort_key
-        )
-    if n is None:
-        raise ParabolicError(f"classical family {family} needs n")
-    paras = enumerate_parabolics(family, n)
-    seen = set()
-    for i, p in enumerate(paras):
-        for q in paras[i:]:
-            seen.add(canonical_pair(ParabolicPair(p, q)))
-            # swapped order can canonicalize differently only through the
-            # pair symmetries, which include the swap; no second pass needed
-    return sorted(seen, key=ParabolicPair.sort_key)
+    specs = _all_specs(_group(family, n))
+    pairs = {
+        canonical_pair(ParabolicPair(p, q)) for i, p in enumerate(specs) for q in specs[i:]
+    }
+    return sorted(pairs, key=ParabolicPair.sort_key)
 
 
 def classify(family: str, n: int | None = None, cmax: int = 1) -> list[ClassificationRow]:
@@ -130,8 +111,7 @@ def classify(family: str, n: int | None = None, cmax: int = 1) -> list[Classific
     their one-root refinements, keyed by removed-root sets up to swap;
     the kept pairs are canonicalised at the end.
     """
-    exceptional = family in EXCEPTIONAL_FAMILIES
-    rsid = system_id(family) if exceptional else classical_system_id(family, n)
+    rsid = _group(family, n)
     r = rsid.rank
     full = frozenset(range(1, r + 1))
 
@@ -156,10 +136,7 @@ def classify(family: str, n: int | None = None, cmax: int = 1) -> list[Classific
                 todo.append(key)
     rows = {}
     for (rp, rq), c in kept.items():
-        p, q = levi(rp), levi(rq)
-        if not exceptional:
-            p, q = subset_to_composition(p), subset_to_composition(q)
-        pair = canonical_pair(ParabolicPair(p, q))
+        pair = canonical_pair(ParabolicPair(_spec(rsid, rp), _spec(rsid, rq)))
         rows[pair] = ClassificationRow(pair, c)
     return sorted(rows.values(), key=lambda row: row.pair.sort_key())
 
@@ -204,31 +181,28 @@ def _instantiate_pattern(pattern, bounds, n: int):
     return out
 
 
+def _row_specs(family: str, n: int, row, side: str) -> list[BlockComposition]:
+    """The parabolics of one side of a table row that exist at size n."""
+    out = []
+    for sizes in _instantiate_pattern(row[side], row.get("bounds"), n):
+        try:
+            out.append(BlockComposition(family, n, sizes, row.get(f"{side}_stroke", False)))
+        except ParabolicError:
+            continue  # pattern instance invalid at this size (parity, stroke)
+    return out
+
+
 def _row_pairs(family: str, n: int, row) -> list[ParabolicPair]:
     """Canonical pairs produced by one reference-table row at size n."""
-    pairs = []
-    bounds = row.get("bounds")
     if row["q"] == "any":
-        q_list = [
-            (c, False)
-            for c in {
-                BlockComposition(family, n, s).sizes
-                for s in _compositions(n)
-                if len(s) >= 2
-            }
-        ]
+        q_list = _all_specs(_group(family, n))[1:]  # every proper parabolic
     else:
-        q_list = [(s, row.get("q_stroke", False)) for s in _instantiate_pattern(row["q"], bounds, n)]
-    p_list = [(s, row.get("p_stroke", False)) for s in _instantiate_pattern(row["p"], bounds, n)]
-    for ps, pstroke in p_list:
-        for qs, qstroke in q_list:
-            try:
-                p = BlockComposition(family, n, ps, pstroke)
-                q = BlockComposition(family, n, qs, qstroke)
-            except ParabolicError:
-                continue  # pattern instance invalid at this size (parity, stroke)
-            pairs.append(canonical_pair(ParabolicPair(p, q)))
-    return pairs
+        q_list = _row_specs(family, n, row, "q")
+    return [
+        canonical_pair(ParabolicPair(p, q))
+        for p in _row_specs(family, n, row, "p")
+        for q in q_list
+    ]
 
 
 def expected_table(family: str, n: int | None = None):
@@ -237,25 +211,23 @@ def expected_table(family: str, n: int | None = None):
     Returns (mapping, labels) where labels maps pairs to the table rows
     that produce them.  Inconsistent tables (same pair, two values) raise.
     """
+    if family not in EXCEPTIONAL_FAMILIES and n is not None:
+        lo, hi = DEFAULT_RANGES[family]
+        if not lo <= n <= hi:
+            raise ParabolicError(
+                f"{family}_{n} outside the supported table range {lo}..{hi}"
+            )
+    rsid = _group(family, n)
     expected: dict[ParabolicPair, int] = {}
     labels: dict[ParabolicPair, list[str]] = {}
     if family in EXCEPTIONAL_FAMILIES:
-        rsid = system_id(family)
         for entry in _exceptional_data()["classification"][family]:
             pair = _removed_pair(rsid, entry["p"], entry["q"])
             _record_expected(expected, labels, pair, entry["complexity"], str(entry))
-        return expected, labels
-    if n is None:
-        raise ParabolicError(f"classical family {family} needs n")
-    lo, hi = DEFAULT_RANGES[family]
-    if not lo <= n <= hi:
-        raise ParabolicError(
-            f"{family}_{n} outside the supported table range {lo}..{hi}"
-        )
-    classical_system_id(family, n)
-    for row in _tables()[family]:
-        for pair in _row_pairs(family, n, row):
-            _record_expected(expected, labels, pair, row["complexity"], row["label"])
+    else:
+        for row in _tables()[family]:
+            for pair in _row_pairs(family, n, row):
+                _record_expected(expected, labels, pair, row["complexity"], row["label"])
     return expected, labels
 
 
@@ -272,13 +244,7 @@ def _record_expected(expected, labels, pair, c, label) -> None:
 
 
 def _removed_pair(rsid: RootSystemId, removed_p, removed_q) -> ParabolicPair:
-    full = frozenset(range(1, rsid.rank + 1))
-    return canonical_pair(
-        ParabolicPair(
-            SimpleRootSubset(rsid, full - frozenset(removed_p)),
-            SimpleRootSubset(rsid, full - frozenset(removed_q)),
-        )
-    )
+    return canonical_pair(ParabolicPair(_spec(rsid, removed_p), _spec(rsid, removed_q)))
 
 
 def survey_rows(family: str):
@@ -365,9 +331,13 @@ def diff_report(rows, expected_and_labels, family: str, n: int | None = None) ->
 
 
 def verify_tables(family: str, n: int | None = None) -> DiffReport:
-    """Classify and diff against the bundled reference table."""
-    rows = classify(family, n, cmax=1)
-    return diff_report(rows, expected_table(family, n), family, n)
+    """Classify and diff against the bundled reference table.
+
+    The table is read first, so a size outside its range fails before
+    any classification work.
+    """
+    expected = expected_table(family, n)
+    return diff_report(classify(family, n, cmax=1), expected, family, n)
 
 
 # -- record formatting ------------------------------------------------------

@@ -17,7 +17,7 @@ import json
 import sys
 from dataclasses import dataclass
 
-from .blockmodel import generic_orbit_complexity
+from .blockmodel import check_matrix_cap, generic_orbit_complexity
 from .classifier import (
     DEFAULT_RANGES,
     EXCEPTIONAL_FAMILIES,
@@ -240,11 +240,11 @@ def cmd_oracle(args) -> int:
     return EXIT_OK
 
 
-def _oracle_check_one(pair, seed0: int, seeds: int, cap: int) -> tuple[int, list[str]]:
+def _oracle_check_one(pair, seed0: int, seeds: int) -> tuple[int, list[str]]:
     ce = pair_complexity(pair)
     bad = []
     for seed in range(seed0, seed0 + seeds):
-        co = generic_orbit_complexity(pair.p, pair.q, seed=seed, samples=3, n_cap=cap)
+        co = generic_orbit_complexity(pair.p, pair.q, seed=seed, samples=3)
         if co != ce:
             bad.append(f"({pair.p} | {pair.q}) engine={ce} oracle={co} seed={seed}")
     return len(bad), bad
@@ -255,8 +255,9 @@ def cmd_oracle_check(args) -> int:
     if family in EXCEPTIONAL_FAMILIES:
         raise UsageError("oracle-check applies to the classical families")
     _group(family, n)
+    check_matrix_cap(n)  # before enumerating the pairs, whose count grows like 4^n
     pairs = enumerate_pairs(family, n)
-    tasks = [(pair, args.seed, args.seeds, args.cap) for pair in pairs]
+    tasks = [(pair, args.seed, args.seeds) for pair in pairs]
     results = _starmap(_oracle_check_one, tasks, args.jobs)
     mismatches = 0
     for count, lines in results:
@@ -331,7 +332,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle-check", help="stripping engine vs matrix oracle agreement")
     add_flags(p, "--seed", "--jobs")
     p.add_argument("--seeds", type=_positive_int, default=3)
-    p.add_argument("--cap", type=int, default=20, help="largest matrix size the oracle accepts")
     p.set_defaults(func=cmd_oracle_check)
 
     return ap

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .parabolic import ParabolicSpec, as_subset, spec_system
+from .parabolic import ParabolicSpec, as_subset
 from .rootsys import (
     Coords,
     RootSystem,
@@ -202,4 +202,4 @@ def _levi_root_count(rsid: RootSystemId, levi: frozenset) -> int:
 
 def pair_complexity(pair) -> int:
     """Complexity of a ParabolicPair."""
-    return complexity(spec_system(pair.p), pair.p, pair.q)
+    return complexity(pair.p.system, pair.p, pair.q)

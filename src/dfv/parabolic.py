@@ -126,6 +126,7 @@ class BlockComposition:
             return self
         return BlockComposition(self.family, self.n, self.sizes, not self.stroke)
 
+    @property
     def system(self) -> RootSystemId:
         return classical_system_id(self.family, self.n)
 
@@ -172,26 +173,17 @@ class ParabolicPair:
     q: ParabolicSpec
 
     def __post_init__(self) -> None:
-        sp, sq = spec_system(self.p), spec_system(self.q)
+        sp, sq = self.p.system, self.q.system
         if sp != sq:
             raise ParabolicError(f"pair mixes groups {sp} and {sq}")
         if isinstance(self.p, BlockComposition) != isinstance(self.q, BlockComposition):
             raise ParabolicError("pair mixes block and simple-root descriptions")
-
-    def system(self) -> RootSystemId:
-        return spec_system(self.p)
 
     def swapped(self) -> "ParabolicPair":
         return ParabolicPair(self.q, self.p)
 
     def sort_key(self):
         return (self.p.sort_key(), self.q.sort_key())
-
-
-def spec_system(spec: ParabolicSpec) -> RootSystemId:
-    if isinstance(spec, BlockComposition):
-        return spec.system()
-    return spec.system
 
 
 def composition_to_subset(b: BlockComposition) -> SimpleRootSubset:
@@ -202,7 +194,7 @@ def composition_to_subset(b: BlockComposition) -> SimpleRootSubset:
     l-1 (central 2-block) removes both fork nodes, a boundary at l (no
     central block) removes alpha_l, or alpha_{l-1} for stroke parabolics.
     """
-    rsid = b.system()
+    rsid = b.system
     rank = rsid.rank
     removed: set[int] = set()
     if b.family == "SL":

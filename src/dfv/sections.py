@@ -30,9 +30,10 @@ from dataclasses import dataclass
 from itertools import product
 from math import lcm
 
+from .complexity import integer_rank
 from .oracle import DecompositionTerm
 from .parabolic import classical_system_id
-from .polyhedra import UnboundedRegion, integer_points
+from .polyhedra import integer_points
 from .rootsys import RootSystemId
 
 ZERO = "zero"
@@ -75,8 +76,6 @@ class LatticeModel:
     shift: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        from .complexity import integer_rank
-
         k = len(self.basis_weights)
         if integer_rank(self.basis_weights) != k:
             raise SectionsError("lattice basis weights must be linearly independent")
@@ -120,39 +119,6 @@ def is_dominant_eps(group: RootSystemId, eps) -> bool:
 
 # -- generic engines -------------------------------------------------------
 
-def _zero_order_inequalities(divisors):
-    return [(d.v, -d.m) for d in divisors if d.h == 0]
-
-
-def polytope_lattice_points(divisors, lat: LatticeModel):
-    """Integer lattice points of { <v_i, x> >= -m_i : h_i = 0 }, lex order.
-
-    The system must be bounded; otherwise UnboundedRegion is raised and
-    reports an unbounded direction.
-    """
-    ineqs = _zero_order_inequalities(divisors)
-    return integer_points(ineqs, lat.dim)
-
-
-def decompose_multiplicity_free(divisors, lat: LatticeModel) -> list[DecompositionTerm]:
-    """Sections decomposition for complexity 0: one term per lattice point."""
-    if any(d.h != 0 for d in divisors):
-        raise SectionsError("multiplicity-free decomposition needs h = 0 data only")
-    terms = []
-    seen = set()
-    for pt in polytope_lattice_points(divisors, lat):
-        w = lat.weight_of(pt)
-        if not is_dominant_eps(lat.group, w):
-            raise SectionsError(
-                f"non-dominant weight {w} from lattice point {pt}: bad divisor data"
-            )
-        if w in seen:
-            raise SectionsError(f"repeated weight {w}: data is not multiplicity-free")
-        seen.add(w)
-        terms.append(DecompositionTerm(w, 1))
-    return terms
-
-
 def _center_forms(divisors):
     """Per-center linear forms (v, m, h) with h > 0, named centers only."""
     forms: dict[str, list[DivisorDatum]] = {}
@@ -177,7 +143,7 @@ def section_multiplicity(divisors, lat: LatticeModel, coords) -> int:
 
 
 def decompose_complexity_one(divisors, lat: LatticeModel) -> list[DecompositionTerm]:
-    """Sections decomposition for complexity 1, with exact multiplicities.
+    """Sections decomposition for complexity 0 and 1, with exact multiplicities.
 
     Lattice points with positive multiplicity all lie in the polytope cut
     out by the h = 0 inequalities together with, for every choice of one
@@ -187,9 +153,12 @@ def decompose_complexity_one(divisors, lat: LatticeModel) -> list[DecompositionT
 
     when every valuation order is 1 the right-hand side tightens to 0 and
     the cuts describe the positive-multiplicity region exactly.  The cut
-    region must be bounded.
+    region must be bounded; otherwise UnboundedRegion is raised.  With
+    h = 0 data only (complexity 0) there is no center, the one empty
+    selection adds the trivial cut 0 >= 0, and every lattice point of the
+    polytope carries multiplicity 1.
     """
-    ineqs = list(_zero_order_inequalities(divisors))
+    ineqs = [(d.v, -d.m) for d in divisors if d.h == 0]
     forms = _center_forms(divisors)
     all_unit = all(d.h == 1 for ds in forms.values() for d in ds)
     slack = 0 if all_unit else len(forms)
@@ -263,7 +232,7 @@ def example1_divisor_data(l: int, p: int, q: int):
 def decompose_example1(l: int, p: int, q: int) -> list[DecompositionTerm]:
     """Engine route for the Sp dataset."""
     divisors, lat = example1_divisor_data(l, p, q)
-    return decompose_multiplicity_free(divisors, lat)
+    return decompose_complexity_one(divisors, lat)
 
 
 def example1_closed_form(l: int, p: int, q: int) -> list[DecompositionTerm]:

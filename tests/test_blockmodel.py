@@ -15,7 +15,6 @@ from dfv.blockmodel import (
     chain_complexity,
     chain_realizer,
     generic_orbit_complexity,
-    module_dimension,
     nilradical_intersection_basis,
     pattern_lower_bound,
     reduce_stroke_pair,
@@ -132,10 +131,11 @@ def test_oracle_spec_examples():
 
 
 def test_oracle_cap():
-    with pytest.raises(CapExceeded):
+    with pytest.raises(CapExceeded) as exc:
         generic_orbit_complexity(
-            BlockComposition("SL", 12, (6, 6)), BlockComposition("SL", 12, (6, 6)), n_cap=10
+            BlockComposition("SL", 21, (10, 11)), BlockComposition("SL", 21, (10, 11))
         )
+    assert str(exc.value) == "matrix size 21 above oracle cap 20"
 
 
 def test_oracle_matches_engine_small():
@@ -173,7 +173,7 @@ def test_module_dimension_matches_weight_count():
             si = composition_to_subset(pair.p)
             sj = composition_to_subset(pair.q)
             wp = intersection_weight_sets(rs, si.levi, sj.levi)
-            assert module_dimension(pair.p, pair.q) == len(wp.F), (pair.p, pair.q)
+            assert len(nilradical_intersection_basis(pair.p, pair.q)) == len(wp.F), (pair.p, pair.q)
 
 
 def test_chain_recursion_against_engine():

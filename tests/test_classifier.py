@@ -2,14 +2,16 @@
 
 from __future__ import annotations
 
+from itertools import combinations
+
 import pytest
 
 from dfv.classifier import (
+    EXCEPTIONAL_FAMILIES,
     ClassificationRow,
     classify,
     diff_report,
     enumerate_pairs,
-    enumerate_parabolics,
     expected_table,
     survey_rows,
     verify_tables,
@@ -18,9 +20,12 @@ from dfv.complexity import complexity, pair_complexity
 from dfv.parabolic import (
     BlockComposition,
     ParabolicPair,
+    SimpleRootSubset,
     canonical_pair,
     classical_system_id,
+    subset_to_composition,
 )
+from dfv.rootsys import system_id
 
 
 def test_sl3_orbit_count():
@@ -36,13 +41,62 @@ def test_g2_pair_count():
     assert len(pairs) == 10
 
 
-def test_so8_strokes_exactly_on_central_free_compositions():
-    paras = enumerate_parabolics("SO", 8)
+def test_so8_strokes_exactly_on_central_free_compositions(block_parabolics):
+    paras = block_parabolics("SO", 8)
     stroked = {p.sizes for p in paras if p.stroke}
     unstroked = {p.sizes for p in paras if not p.stroke}
     assert stroked == {s for s in unstroked if len(s) % 2 == 0}
     for s in stroked:
         assert len(s) % 2 == 0
+
+
+def _classical_groups(sl, sp, so):
+    groups = [("SL", n) for n in range(2, sl + 1)]
+    groups += [("Sp", n) for n in range(4, sp + 1, 2)]
+    groups += [("SO", n) for n in range(5, so + 1)]
+    return groups
+
+
+@pytest.mark.parametrize("family,n", _classical_groups(9, 12, 13))
+def test_removed_sets_biject_onto_block_parabolics(family, n, block_parabolics):
+    # enumerate_pairs names each parabolic by its removed simple roots;
+    # that is complete and repetition-free only if this map is a bijection
+    rsid = classical_system_id(family, n)
+    full = frozenset(range(1, rsid.rank + 1))
+    images = [
+        subset_to_composition(SimpleRootSubset(rsid, full - frozenset(c)))
+        for k in range(rsid.rank + 1)
+        for c in combinations(sorted(full), k)
+    ]
+    assert len(images) == 2**rsid.rank
+    assert len(set(images)) == len(images)
+    assert set(images) == set(block_parabolics(family, n))
+
+
+def _two_path_pairs(family, n, block_parabolics):
+    # the construction enumerate_pairs used before it had one loop:
+    # root subsets for the exceptional types, compositions otherwise
+    if family in EXCEPTIONAL_FAMILIES:
+        rsid = system_id(family)
+        r = rsid.rank
+        paras = [
+            SimpleRootSubset(rsid, frozenset(c))
+            for k in range(r + 1)
+            for c in combinations(range(1, r + 1), k)
+        ]
+    else:
+        paras = block_parabolics(family, n)
+    pairs = {
+        canonical_pair(ParabolicPair(p, q)) for i, p in enumerate(paras) for q in paras[i:]
+    }
+    return sorted(pairs, key=ParabolicPair.sort_key)
+
+
+@pytest.mark.parametrize(
+    "family,n", _classical_groups(7, 10, 10) + [("G2", None), ("F4", None)]
+)
+def test_enumerate_pairs_matches_two_path_construction(family, n, block_parabolics):
+    assert enumerate_pairs(family, n) == _two_path_pairs(family, n, block_parabolics)
 
 
 def test_classify_excludes_full_group_pairs():

@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 import json
+import time
 
 import pytest
 
-from dfv import cli
+from dfv import classifier, cli
 from dfv.classifier import DiffReport, enumerate_pairs
 from dfv.cli import EXIT_CAP, EXIT_DIFF, EXIT_OK, EXIT_USAGE, main
 
@@ -49,7 +50,7 @@ def test_subcommands_reject_flags_they_do_not_read(capsys):
     for flag in (("--seed", "1"), ("--jobs", "2"), ("--tie-break", "revlex")):
         code, _, _ = run(capsys, "oracle", *lam_mu, *flag)
         assert code == EXIT_USAGE
-    for flag in (("--tie-break", "revlex"), ("--format", "json")):
+    for flag in (("--tie-break", "revlex"), ("--format", "json"), ("--cap", "4")):
         code, _, err = run(capsys, "oracle-check", "--family", "Sp", "--n", "4", *flag)
         assert code == EXIT_USAGE and "unrecognized arguments" in err
 
@@ -122,6 +123,19 @@ def test_verify_tables_json_records(capsys, monkeypatch):
     assert code == EXIT_DIFF and out.splitlines() == report.lines()
 
 
+@pytest.mark.parametrize("n", ["11", "12"])
+def test_verify_tables_outside_table_range_fails_before_classifying(capsys, monkeypatch, n):
+    def refuse(*args, **kwargs):
+        raise AssertionError("classified before reading the table")
+
+    monkeypatch.setattr(classifier, "classify", refuse)
+    started = time.perf_counter()
+    code, out, err = run(capsys, "verify-tables", "--family", "SL", "--n", n)
+    assert time.perf_counter() - started < 2
+    assert code == EXIT_USAGE and out == ""
+    assert err == f"error: SL_{n} outside the supported table range 2..10\n"
+
+
 def test_verify_tables_jobs_do_not_change_output(capsys):
     serial = run(capsys, "verify-tables", "--family", "SL", "--n", "4..6", "--jobs", "1")
     pooled = run(capsys, "verify-tables", "--family", "SL", "--n", "4..6", "--jobs", "2")
@@ -188,10 +202,17 @@ def test_oracle_cap_exit_code(capsys):
     assert err.startswith("error: cap exceeded: dim 148500 of weight")
 
 
-def test_oracle_check_matrix_cap_exit_code(capsys):
-    code, out, err = run(capsys, "oracle-check", "--family", "SL", "--n", "6", "--cap", "4")
+def test_oracle_check_matrix_cap_exit_code(capsys, monkeypatch):
+    # the cap is checked before the pairs are enumerated
+    def refuse(*args):
+        raise AssertionError("pairs were enumerated before the cap check")
+
+    monkeypatch.setattr(cli, "enumerate_pairs", refuse)
+    started = time.perf_counter()
+    code, out, err = run(capsys, "oracle-check", "--family", "SL", "--n", "21")
+    assert time.perf_counter() - started < 2
     assert code == EXIT_CAP and out == ""
-    assert err == "error: cap exceeded: matrix size 6 above oracle cap 4\n"
+    assert err == "error: cap exceeded: matrix size 21 above oracle cap 20\n"
 
 
 def test_oracle_check(capsys):

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import pytest
 
-from dfv.classifier import enumerate_parabolics
 from dfv.parabolic import (
     BlockComposition,
     ParabolicError,
@@ -41,8 +40,8 @@ def test_sl_subset_roundtrips():
 
 
 @pytest.mark.parametrize("family,n", [("SL", 6), ("Sp", 8), ("SO", 9), ("SO", 10)])
-def test_roundtrip_all_parabolics(family, n):
-    for comp in enumerate_parabolics(family, n):
+def test_roundtrip_all_parabolics(family, n, block_parabolics):
+    for comp in block_parabolics(family, n):
         back = subset_to_composition(composition_to_subset(comp))
         assert back == comp, (comp, back)
 

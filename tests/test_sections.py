@@ -28,12 +28,10 @@ from dfv.sections import (
     decompose_example1,
     decompose_example2,
     decompose_example2_engine,
-    decompose_multiplicity_free,
     eps_to_fundamental,
     example1_closed_form,
     example1_divisor_data,
     example2_divisor_data,
-    polytope_lattice_points,
     section_multiplicity,
     symbolic_system,
 )
@@ -49,9 +47,15 @@ def to_fund(group, terms):
 
 # -- lattice points ---------------------------------------------------------
 
+def _polytope_points(divisors, lat):
+    """Lattice points of { <v_i, x> >= -m_i }, every datum with h = 0."""
+    assert all(d.h == 0 for d in divisors)
+    return integer_points([(d.v, -d.m) for d in divisors], lat.dim)
+
+
 def test_polytope_points_example1_small():
     divisors, lat = example1_divisor_data(2, 1, 1)
-    pts = polytope_lattice_points(divisors, lat)
+    pts = _polytope_points(divisors, lat)
     # (a, b) = (-a1-a2, a1-a2) must be exactly (0,0) and (1,1)
     ab = sorted((-a1 - a2, a1 - a2) for a1, a2 in pts)
     assert ab == [(0, 0), (1, 1)]
@@ -59,13 +63,13 @@ def test_polytope_points_example1_small():
 
 def test_polytope_origin_only():
     divisors, lat = example1_divisor_data(3, 0, 0)
-    assert polytope_lattice_points(divisors, lat) == [(0, 0)]
+    assert _polytope_points(divisors, lat) == [(0, 0)]
 
 
 def test_unbounded_region_rejected():
     divisors, lat = example1_divisor_data(2, 1, 1)
     with pytest.raises(UnboundedRegion) as exc:
-        polytope_lattice_points(divisors[:-1], lat)  # drop one wall
+        _polytope_points(divisors[:-1], lat)  # drop one wall
     assert any(exc.value.direction)
 
 
@@ -283,8 +287,3 @@ def test_example2_center_assignment_is_load_bearing():
         return
     assert to_fund(group, got) != sorted(lr_tensor(9, lam, mu).items())
 
-
-def test_multiplicity_free_engine_rejects_valued_data():
-    divisors, lat = example2_divisor_data(3, 3, 3, 0, 0, 0)
-    with pytest.raises(SectionsError):
-        decompose_multiplicity_free(divisors, lat)
