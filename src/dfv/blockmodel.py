@@ -30,6 +30,8 @@ from .weights import CapExceeded
 
 _ENTRY_BOUND = 10**6  # entries of the oracle's random points lie in [-bound, bound]
 _MATRIX_CAP = 20  # largest matrix size n the oracle accepts
+_PATTERN_CAP = 256  # invariant patterns collected per grid
+_PACKING_LIMIT = 3  # disjoint patterns counted at most
 
 
 def check_matrix_cap(n: int) -> None:
@@ -139,7 +141,7 @@ def pattern_lower_bound(grid: BlockGrid) -> int:
     if grid.family == "SO":
         cells = cells - grid.antidiag
     patterns = _invariant_patterns(grid, cells)
-    packing = _max_disjoint(patterns, limit=3)
+    packing = _max_disjoint(patterns)
     row_bound = 0
     for i in range(1, grid.r + 1):
         if grid.refined[i - 1] < 2:
@@ -152,7 +154,7 @@ def pattern_lower_bound(grid: BlockGrid) -> int:
     return max(packing, row_bound)
 
 
-def _invariant_patterns(grid: BlockGrid, cells, cap: int = 256):
+def _invariant_patterns(grid: BlockGrid, cells):
     """Mirror-closed cell sets of square and triangle patterns.
 
     For SO/Sp a pattern may not contain two cells that are mirror images
@@ -189,7 +191,7 @@ def _invariant_patterns(grid: BlockGrid, cells, cap: int = 256):
                     )
                     if pat is not None:
                         patterns.append(pat)
-                    if len(patterns) >= cap:
+                    if len(patterns) >= _PATTERN_CAP:
                         return patterns
     # triangles
     for (i, j) in cells:
@@ -198,12 +200,12 @@ def _invariant_patterns(grid: BlockGrid, cells, cap: int = 256):
                 pat = closure({(i, j), (i, k), (j, k)})
                 if pat is not None:
                     patterns.append(pat)
-                if len(patterns) >= cap:
+                if len(patterns) >= _PATTERN_CAP:
                     return patterns
     return patterns
 
 
-def _max_disjoint(patterns, limit: int) -> int:
+def _max_disjoint(patterns) -> int:
     if not patterns:
         return 0
     best = 1
@@ -215,18 +217,18 @@ def _max_disjoint(patterns, limit: int) -> int:
             if not patterns[a] & patterns[b]:
                 best = 2
                 break
-    if best >= 2 and limit > 2:
+    if best >= 2:
         for a in range(len(patterns)):
             chosen = [patterns[a]]
             used = set(patterns[a])
             for p in patterns:
-                if len(chosen) >= limit:
+                if len(chosen) >= _PACKING_LIMIT:
                     break
                 if not (p & used):
                     chosen.append(p)
                     used |= p
             best = max(best, len(chosen))
-    return min(best, limit)
+    return min(best, _PACKING_LIMIT)
 
 
 # -- explicit matrix models ----------------------------------------------

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import dataclass
 
@@ -130,6 +131,13 @@ def _positive_int(text: str) -> int:
     return int(text)
 
 
+def _non_negative_int(text: str) -> int:
+    """argparse type: an integer of at least 0."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def cmd_complexity(args) -> int:
     group = _group(args.family, args.n)
     p = _parse_spec(args.family, args.n, args.p)
@@ -174,11 +182,12 @@ def cmd_verify_tables(args) -> int:
 
 
 def _starmap(fn, tasks, jobs: int) -> list:
-    """``fn(*task)`` for every task, over ``jobs`` worker processes if jobs > 1."""
-    if jobs > 1:
+    """``fn(*task)`` for every task, over min(jobs, #tasks, #CPUs) worker processes."""
+    workers = min(jobs, len(tasks), os.cpu_count() or 1)
+    if workers > 1:
         import multiprocessing as mp
 
-        with mp.Pool(jobs) as pool:
+        with mp.Pool(processes=workers) as pool:
             return pool.starmap(fn, tasks)
     return [fn(*task) for task in tasks]
 
@@ -278,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
     flags = {
         "--format": dict(default="pretty", choices=("json", "tsv", "pretty")),
         "--seed": dict(type=int, default=0),
-        "--jobs": dict(type=int, default=1, help="worker processes for sweeps"),
+        "--jobs": dict(type=_positive_int, default=1, help="worker processes for sweeps"),
     }
 
     def add_flags(p, *names):
@@ -296,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("classify", help="all pairs of complexity <= cmax")
     add_flags(p, "--format")
-    p.add_argument("--cmax", type=int, default=1)
+    p.add_argument("--cmax", type=_non_negative_int, default=1)
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("verify-tables", help="diff the classification against the bundled tables")

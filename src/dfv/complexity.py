@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from .parabolic import ParabolicSpec, as_subset
 from .rootsys import (
@@ -157,13 +156,6 @@ def integer_rank(vectors) -> int:
     return rank
 
 
-@lru_cache(maxsize=200_000)
-def _complexity_from_subsets(rsid: RootSystemId, levi_i: frozenset, levi_j: frozenset) -> int:
-    rs = build_root_system(rsid)
-    pair = intersection_weight_sets(rs, levi_i, levi_j)
-    return strip(pair).complexity
-
-
 def complexity(group: RootSystemId, p: ParabolicSpec, q: ParabolicSpec) -> int:
     """Complexity of G/P x G/Q for a simple group of the given type."""
     si = as_subset(p)
@@ -172,7 +164,7 @@ def complexity(group: RootSystemId, p: ParabolicSpec, q: ParabolicSpec) -> int:
         raise RootSystemError(
             f"parabolic data for {si.system}/{sj.system} does not match group {group}"
         )
-    return _complexity_from_subsets(group, si.levi, sj.levi)
+    return strip(intersection_weight_sets(build_root_system(group), si.levi, sj.levi)).complexity
 
 
 def dimension_lower_bound(group: RootSystemId, p: ParabolicSpec, q: ParabolicSpec) -> Fraction:
@@ -186,18 +178,10 @@ def dimension_lower_bound(group: RootSystemId, p: ParabolicSpec, q: ParabolicSpe
     si, sj = as_subset(p), as_subset(q)
     if si.system != group or sj.system != group:
         raise RootSystemError("parabolic data does not match group")
-    return Fraction(
-        len(rs.all_roots) - _levi_root_count(group, si.levi)
-        - _levi_root_count(group, sj.levi) - 2 * rs.rank,
-        2,
-    )
-
-
-@lru_cache(maxsize=100_000)
-def _levi_root_count(rsid: RootSystemId, levi: frozenset) -> int:
-    rs = build_root_system(rsid)
-    mask = rs.mask_of(levi)
-    return sum(1 for a in rs.all_roots if rs.support_mask(a) & ~mask == 0)
+    out_i, out_j = ~rs.mask_of(si.levi), ~rs.mask_of(sj.levi)
+    supports = [rs.support_mask(a) for a in rs.all_roots]
+    levi_roots = sum((s & out_i == 0) + (s & out_j == 0) for s in supports)
+    return Fraction(len(rs.all_roots) - levi_roots - 2 * rs.rank, 2)
 
 
 def pair_complexity(pair) -> int:

@@ -114,8 +114,6 @@ def tensor_product_reflection(
     group: RootSystemId,
     lam: Weight,
     mu: Weight,
-    rank_cap: int = DEFAULT_RANK_CAP,
-    point_budget: int = 400_000,
 ) -> dict[Weight, int]:
     """Decompose V_lam (x) V_mu by rho-shifted dominant reflection.
 
@@ -124,13 +122,13 @@ def tensor_product_reflection(
     the dominant chamber with a sign, weights on walls dropping out.
     """
     lat = weight_lattice(group)
-    if lat.rank > rank_cap:
-        raise CapExceeded(f"rank {lat.rank} above oracle cap {rank_cap}")
+    if lat.rank > DEFAULT_RANK_CAP:
+        raise CapExceeded(f"rank {lat.rank} above oracle cap {DEFAULT_RANK_CAP}")
     if lat.weyl_dim(mu) > lat.weyl_dim(lam):
         lam, mu = mu, lam
     base = tuple(x + 1 for x in lam)  # lam + rho
     acc: dict[Weight, int] = {}
-    for nu, m in lat.character(mu, point_budget).items():
+    for nu, m in lat.character(mu).items():
         xi = tuple(b + x for b, x in zip(base, nu))
         dom, sign = lat.to_dominant(xi)
         if any(c == 0 for c in dom):
@@ -250,13 +248,12 @@ def tensor_oracle(
     lam: Weight,
     mu: Weight,
     method: str = "peel",
-    **kwargs,
 ) -> list[DecompositionTerm]:
     """Uniform entry point returning sorted DecompositionTerms."""
     if method == "peel":
-        dec = tensor_product(group, lam, mu, **kwargs)
+        dec = tensor_product(group, lam, mu)
     elif method == "reflection":
-        dec = tensor_product_reflection(group, lam, mu, **kwargs)
+        dec = tensor_product_reflection(group, lam, mu)
     elif method == "lr":
         if group.family != "A":
             raise OracleError("LR counting applies to type A only")

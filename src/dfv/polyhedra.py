@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from math import gcd
 
+_FM_ROW_LIMIT = 50_000  # most rows one elimination step may leave
+
 
 class UnboundedRegion(ValueError):
     def __init__(self, direction):
@@ -44,7 +46,7 @@ def _dedupe(cons):
     return [(k, v) for k, v in seen.items()]
 
 
-def fm_prefix_projections(constraints, k: int, limit: int = 50_000):
+def fm_prefix_projections(constraints, k: int):
     """Projections of the solution set onto each coordinate prefix.
 
     Returns proj[d] (d = 1..k): primitive integer constraints involving
@@ -70,7 +72,7 @@ def fm_prefix_projections(constraints, k: int, limit: int = 50_000):
         deduped = _dedupe(new)
         if deduped is None:
             return None
-        if len(deduped) > limit:
+        if len(deduped) > _FM_ROW_LIMIT:
             raise PolyhedronError("Fourier-Motzkin projection exceeded size limit")
         current = deduped
         proj[d - 1] = current

@@ -24,6 +24,8 @@ from .rootsys import RootSystem, RootSystemId, build_root_system
 
 Weight = tuple[int, ...]
 
+_POINT_BUDGET = 400_000  # most weights one diagram or character may hold
+
 
 class CapExceeded(RuntimeError):
     """A character/tensor computation went over its configured budget."""
@@ -148,7 +150,7 @@ class WeightLattice:
             raise OracleError("Weyl dimension came out non-integral")
         return dim
 
-    def dominant_character(self, w: Weight, point_budget: int = 400_000) -> dict[Weight, int]:
+    def dominant_character(self, w: Weight) -> dict[Weight, int]:
         """Multiplicities of the dominant weights of the irreducible of h.w. w.
 
         Freudenthal recursion over the dominant weights mu <= w, processed
@@ -159,7 +161,7 @@ class WeightLattice:
         """
         if not self.is_dominant(w):
             raise OracleError(f"character of non-dominant weight {w}")
-        dominants = self._dominant_weights_below(w, point_budget)
+        dominants = self._dominant_weights_below(w)
         order = sorted(dominants, key=lambda m: self.height(_sub(w, m)))
         mult: dict[Weight, int] = {}
         for mu in order:
@@ -192,7 +194,7 @@ class WeightLattice:
                 mult[mu] = val
         return mult
 
-    def _dominant_weights_below(self, w: Weight, point_budget: int) -> list[Weight]:
+    def _dominant_weights_below(self, w: Weight) -> list[Weight]:
         seen = {tuple(w)}
         frontier = [tuple(w)]
         dominants = [tuple(w)]
@@ -207,9 +209,9 @@ class WeightLattice:
                     if not self.in_positive_root_cone(_sub(w, dom)):
                         continue
                     seen.add(v)
-                    if len(seen) > point_budget:
+                    if len(seen) > _POINT_BUDGET:
                         raise CapExceeded(
-                            f"weight diagram of {w} exceeds {point_budget} points"
+                            f"weight diagram of {w} exceeds {_POINT_BUDGET} points"
                         )
                     new.append(v)
                     if v == dom:
@@ -217,16 +219,16 @@ class WeightLattice:
             frontier = new
         return dominants
 
-    def character(self, w: Weight, point_budget: int = 400_000) -> dict[Weight, int]:
+    def character(self, w: Weight) -> dict[Weight, int]:
         """Full weight multiplicity map of the irreducible with h.w. w."""
-        dom_char = self.dominant_character(w, point_budget)
+        dom_char = self.dominant_character(w)
         out: dict[Weight, int] = {}
         npoints = 0
         for mu, m in dom_char.items():
             for nu in self.orbit(mu):
                 out[nu] = m
                 npoints += 1
-                if npoints > point_budget:
+                if npoints > _POINT_BUDGET:
                     raise CapExceeded("character support exceeds point budget")
         return out
 

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import multiprocessing
+import os
 import time
 
 import pytest
@@ -82,6 +84,9 @@ def test_n_with_exceptional_family_is_usage_error(capsys):
     ("oracle-check", "--family", "Sp", "--n", "4", "--seeds", "0"),
     ("oracle-check", "--family", "SL"),
     ("decompose", "example2", "--q1", "3", "--q2", "3", "--q3", "3", "--m", "1,1"),
+    ("classify", "--family", "SL", "--n", "4", "--cmax", "-1"),
+    ("verify-tables", "--family", "G2", "--jobs", "0"),
+    ("oracle-check", "--family", "Sp", "--n", "4", "--jobs", "-3"),
 ])
 def test_malformed_input_is_usage_error(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -141,6 +146,36 @@ def test_verify_tables_jobs_do_not_change_output(capsys):
     pooled = run(capsys, "verify-tables", "--family", "SL", "--n", "4..6", "--jobs", "2")
     assert serial[0] == EXIT_OK and serial[1].count("reproduced exactly") == 3
     assert pooled == serial
+
+
+def test_jobs_start_at_most_one_worker_per_task_and_cpu(capsys, monkeypatch):
+    started = []
+
+    class InProcessPool:
+        def __init__(self, processes):
+            started.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def starmap(self, fn, tasks):
+            return [fn(*task) for task in tasks]
+
+    monkeypatch.setattr(multiprocessing, "Pool", InProcessPool)
+    argv = ("verify-tables", "--family", "SL", "--n", "4..6")
+    serial = run(capsys, *argv)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    assert run(capsys, *argv, "--jobs", "1000") == serial
+    assert run(capsys, *argv, "--jobs", "2") == serial
+    assert started == [3, 2]
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    assert run(capsys, *argv, "--jobs", "1000") == serial
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert run(capsys, *argv, "--jobs", "1000") == serial
+    assert started == [3, 2]
 
 
 def test_classify_stream_json(capsys):

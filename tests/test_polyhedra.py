@@ -6,6 +6,8 @@ import random
 from fractions import Fraction
 from math import gcd
 
+import pytest
+
 from dfv import polyhedra
 from dfv.polyhedra import UnboundedRegion, fm_prefix_projections, integer_points
 
@@ -98,3 +100,14 @@ def test_rows_are_reduced_by_their_gcd():
     proj = fm_prefix_projections([((2, 2), 4), ((-3, 0), -9), ((0, -6), -12)], 2)
     assert proj[2] == [((1, 1), 2), ((-1, 0), -3), ((0, -1), -2)]
     assert proj[1] == [((-1, 0), -3), ((1, 0), 0)]
+
+
+def test_fm_row_limit_raises(monkeypatch):
+    # the cube 0 <= x_i <= 2: eliminating x_3 leaves the 4 rows of the square
+    cube = [(tuple(s * (i == j) for j in range(3)), min(0, 2 * s)) for i in range(3) for s in (1, -1)]
+    monkeypatch.setattr(polyhedra, "_FM_ROW_LIMIT", 4)
+    assert len(integer_points(cube, 3)) == 27
+    monkeypatch.setattr(polyhedra, "_FM_ROW_LIMIT", 3)
+    with pytest.raises(polyhedra.PolyhedronError) as exc:
+        integer_points(cube, 3)
+    assert str(exc.value) == "Fourier-Motzkin projection exceeded size limit"

@@ -7,8 +7,9 @@ from fractions import Fraction
 
 import pytest
 
+from dfv.cli import EXIT_CAP, main
 from dfv.rootsys import cartan_matrix, system_id
-from dfv.weights import weight_lattice
+from dfv.weights import CapExceeded, weight_lattice
 
 TYPES = (
     [("A", r) for r in range(1, 9)]
@@ -74,3 +75,19 @@ def test_cone_and_height_match_fraction_reference(family, rank):
     by_int = sorted(weights, key=lambda w: (lat.height(w), w))
     by_ref = sorted(weights, key=lambda w: (sum(ref[w]), w))
     assert by_int == by_ref
+
+
+def test_point_budget_raises(monkeypatch, capsys):
+    lat = weight_lattice(system_id("A", 2))
+    # the adjoint representation of SL_3 has 7 distinct weights
+    monkeypatch.setattr("dfv.weights._POINT_BUDGET", 7)
+    assert len(lat.character((1, 1))) == 7
+    monkeypatch.setattr("dfv.weights._POINT_BUDGET", 6)
+    with pytest.raises(CapExceeded) as exc:
+        lat.character((1, 1))
+    assert str(exc.value) == "weight diagram of (1, 1) exceeds 6 points"
+    code = main(["oracle", "--family", "SL", "--n", "3", "--lam", "1,1", "--mu", "1,1",
+                 "--method", "reflection"])
+    captured = capsys.readouterr()
+    assert code == EXIT_CAP and captured.out == ""
+    assert captured.err == "error: cap exceeded: weight diagram of (1, 1) exceeds 6 points\n"
