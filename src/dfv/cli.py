@@ -2,8 +2,9 @@
 
 Exit codes: 0 success, 1 usage error, 2 verification diff,
 3 internal invariant violation or computation failure, 4 a tensor or
-character computation went over its rank, dimension or point cap, or
-the matrix oracle over its matrix-size cap.
+character computation went over its rank, dimension or point cap, the
+matrix oracle over its matrix-size cap, or a Fourier-Motzkin step over
+its row limit.
 
 Parabolics are written as block compositions for the classical
 families (``--p 2,2`` or ``--p 2,2,2,2'`` with a stroke) and as the

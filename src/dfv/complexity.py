@@ -18,7 +18,6 @@ rationals, computed with exact integer arithmetic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .parabolic import ParabolicSpec, as_subset
 from .rootsys import (
@@ -167,12 +166,13 @@ def complexity(group: RootSystemId, p: ParabolicSpec, q: ParabolicSpec) -> int:
     return strip(intersection_weight_sets(build_root_system(group), si.levi, sj.levi)).complexity
 
 
-def dimension_lower_bound(group: RootSystemId, p: ParabolicSpec, q: ParabolicSpec) -> Fraction:
+def dimension_lower_bound(group: RootSystemId, p: ParabolicSpec, q: ParabolicSpec) -> int:
     """Lower bound (dim G - dim L - dim M - dim T) / 2 for the complexity.
 
     Computed from root counts: dim G = rank + #roots, dim of a Levi is
-    rank + #{roots supported on its subset}, dim T = rank.  May be
-    negative (vacuous).
+    rank + #{roots supported on its subset}, dim T = rank.  Every root
+    set counted is closed under negation, so the numerator is even and
+    the bound is an integer.  May be negative (vacuous).
     """
     rs = build_root_system(group)
     si, sj = as_subset(p), as_subset(q)
@@ -181,7 +181,7 @@ def dimension_lower_bound(group: RootSystemId, p: ParabolicSpec, q: ParabolicSpe
     out_i, out_j = ~rs.mask_of(si.levi), ~rs.mask_of(sj.levi)
     supports = [rs.support_mask(a) for a in rs.all_roots]
     levi_roots = sum((s & out_i == 0) + (s & out_j == 0) for s in supports)
-    return Fraction(len(rs.all_roots) - levi_roots - 2 * rs.rank, 2)
+    return (len(rs.all_roots) - levi_roots - 2 * rs.rank) // 2
 
 
 def pair_complexity(pair) -> int:

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from math import gcd
 
+from .weights import CapExceeded
+
 _FM_ROW_LIMIT = 50_000  # most rows one elimination step may leave
 
 
@@ -19,10 +21,6 @@ class UnboundedRegion(ValueError):
     def __init__(self, direction):
         self.direction = direction
         super().__init__(f"region is unbounded along {direction}")
-
-
-class PolyhedronError(ValueError):
-    pass
 
 
 def _reduce(coeffs, rhs):
@@ -73,7 +71,7 @@ def fm_prefix_projections(constraints, k: int):
         if deduped is None:
             return None
         if len(deduped) > _FM_ROW_LIMIT:
-            raise PolyhedronError("Fourier-Motzkin projection exceeded size limit")
+            raise CapExceeded("Fourier-Motzkin projection exceeded size limit")
         current = deduped
         proj[d - 1] = current
     return proj

@@ -2,7 +2,7 @@
 
 Weights are integer tuples of coordinates with respect to the
 fundamental weights, so the pairing with the i-th simple coroot is just
-the i-th coordinate.  Everything after set-up is integer arithmetic:
+the i-th coordinate.  Everything, set-up included, is integer arithmetic:
 
 * root-basis coordinates are kept scaled by ``det_c``, the least common
   denominator of the inverse Cartan matrix, so ``root_coords(w)`` is the
@@ -15,9 +15,8 @@ the i-th coordinate.  Everything after set-up is integer arithmetic:
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
-from math import lcm, prod
+from math import gcd, prod
 from operator import add, mul
 
 from .rootsys import RootSystem, RootSystemId, build_root_system
@@ -39,10 +38,8 @@ class WeightLattice:
     """Pairing data for the weight lattice of one simple type."""
 
     def __init__(self, rsid: RootSystemId):
-        self.id = rsid
         self.rank = rsid.rank
         rs: RootSystem = build_root_system(rsid)
-        self.rs = rs
         self.cartan = rs.cartan
         # d[j]: |alpha_j|^2 up to one common factor (primitive integers)
         self.d: tuple[int, ...] = rs.symmetrizer
@@ -56,11 +53,7 @@ class WeightLattice:
         )
         self.rho: Weight = (1,) * self.rank
         # adj = det_c * C^-1 is an integer matrix: root_coords(w) = adj . w
-        inv = _invert_fraction_matrix([[Fraction(x) for x in row] for row in self.cartan])
-        self.det_c, flat = _scale_to_integers([x for row in inv for x in row])
-        self.adj: tuple[tuple[int, ...], ...] = tuple(
-            flat[j * self.rank:(j + 1) * self.rank] for j in range(self.rank)
-        )
+        self.det_c, self.adj = _scaled_inverse(self.cartan)
         # height(w) = sum of root_coords(w) = height_vec . w
         self.height_vec: tuple[int, ...] = tuple(map(sum, zip(*self.adj)))
         # per positive root a: its two coordinate forms, the pairs
@@ -237,25 +230,28 @@ def _sub(u: Weight, v: Weight) -> Weight:
     return tuple([a - b for a, b in zip(u, v)])
 
 
-def _scale_to_integers(values) -> tuple[int, tuple[int, ...]]:
-    """(s, s * values) with s the least common denominator of the Fractions."""
-    s = lcm(*(x.denominator for x in values))
-    return s, tuple(int(x * s) for x in values)
+def _scaled_inverse(c) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """(s, s * C^-1) with s the least positive integer making s * C^-1 integral.
 
-
-def _invert_fraction_matrix(m):
-    n = len(m)
-    aug = [list(row) + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(m)]
-    for col in range(n):
-        piv = next(i for i in range(col, n) if aug[i][col] != 0)
-        aug[col], aug[piv] = aug[piv], aug[col]
-        pv = aug[col][col]
-        aug[col] = [x / pv for x in aug[col]]
+    Fraction-free Gauss-Jordan on [C | I] (Bareiss): every division by the
+    previous pivot is exact, and the pass leaves det C * I on the left and
+    det C * C^-1 on the right.  The k-th pivot is the leading k x k minor
+    of C, which is positive for a Cartan matrix of finite type, so no row
+    needs swapping.
+    """
+    n = len(c)
+    aug = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(c)]
+    prev = 1
+    for k in range(n):
+        pr = aug[k]
+        pc = pr[k]
         for i in range(n):
-            if i != col and aug[i][col]:
-                f = aug[i][col]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[col])]
-    return [row[n:] for row in aug]
+            if i != k:
+                f = aug[i][k]
+                aug[i] = [(pc * x - f * y) // prev for x, y in zip(aug[i], pr)]
+        prev = pc
+    g = gcd(prev, *(x for row in aug for x in row[n:]))
+    return prev // g, tuple(tuple(x // g for x in row[n:]) for row in aug)
 
 
 @lru_cache(maxsize=None)

@@ -9,7 +9,7 @@ import time
 
 import pytest
 
-from dfv import classifier, cli
+from dfv import classifier, cli, polyhedra
 from dfv.classifier import DiffReport, enumerate_pairs
 from dfv.cli import EXIT_CAP, EXIT_DIFF, EXIT_OK, EXIT_USAGE, main
 
@@ -203,6 +203,15 @@ def test_decompose_example2(capsys):
     assert code == EXIT_OK
     recs = [json.loads(line) for line in out.splitlines()]
     assert len(recs) == 4 and all(r["multiplicity"] == 1 for r in recs)
+
+
+def test_decompose_fm_row_limit_exit_code(capsys, monkeypatch):
+    monkeypatch.setattr(polyhedra, "_FM_ROW_LIMIT", 2)
+    code, out, err = run(
+        capsys, "decompose", "example2", "--q1", "3", "--q2", "3", "--q3", "3", "--m", "1,1,1",
+    )
+    assert code == EXIT_CAP and out == ""
+    assert err == "error: cap exceeded: Fourier-Motzkin projection exceeded size limit\n"
 
 
 @pytest.mark.parametrize("argv", [

@@ -10,6 +10,7 @@ import pytest
 
 from dfv import polyhedra
 from dfv.polyhedra import UnboundedRegion, fm_prefix_projections, integer_points
+from dfv.weights import CapExceeded
 
 
 # -- the rational reference: every row goes through Fraction and back ---------
@@ -108,6 +109,6 @@ def test_fm_row_limit_raises(monkeypatch):
     monkeypatch.setattr(polyhedra, "_FM_ROW_LIMIT", 4)
     assert len(integer_points(cube, 3)) == 27
     monkeypatch.setattr(polyhedra, "_FM_ROW_LIMIT", 3)
-    with pytest.raises(polyhedra.PolyhedronError) as exc:
+    with pytest.raises(CapExceeded) as exc:
         integer_points(cube, 3)
     assert str(exc.value) == "Fourier-Motzkin projection exceeded size limit"

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -58,6 +59,11 @@ def test_scaled_inverse_cartan(family, rank):
     for i in range(rank):
         for j in range(rank):
             assert sum(lat.adj[i][k] * c[k][j] for k in range(rank)) == lat.det_c * (i == j)
+    # the scale is the least one: a multiple of (det_c, adj) passes the check above
+    columns = [_root_basis(c, [int(i == j) for i in range(rank)]) for j in range(rank)]
+    inverse = [[columns[j][i] for j in range(rank)] for i in range(rank)]
+    assert lat.det_c == lcm(*(x.denominator for row in inverse for x in row))
+    assert [list(row) for row in lat.adj] == [[lat.det_c * x for x in row] for row in inverse]
 
 
 @pytest.mark.parametrize("family,rank", TYPES, ids=[f"{f}{r}" for f, r in TYPES])
