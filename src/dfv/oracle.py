@@ -3,9 +3,10 @@
 Three exact methods, used to cross-validate the section-space
 decompositions:
 
-* ``tensor_product`` -- multiply full characters and greedily peel the
-  highest remaining dominant weight.  Conceptually simplest; guarded by
-  rank/dimension caps because full characters get large.
+* ``tensor_product`` -- the product character on dominant weights, from
+  the full character of the smaller factor and the dominant character of
+  the other, then peel the highest remaining dominant weight.  Guarded
+  by rank/dimension caps.
 * ``tensor_product_reflection`` -- the standard rho-shifted reflection
   method: only needs the full character of the smaller factor, so it
   scales to much larger highest weights.
@@ -18,7 +19,6 @@ coordinates.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 
 from .rootsys import RootSystemId
@@ -58,56 +58,55 @@ def tensor_product(
     rank_cap: int = DEFAULT_RANK_CAP,
     dim_cap: int | None = DEFAULT_DIM_CAP,
 ) -> dict[Weight, int]:
-    """Decompose V_lam (x) V_mu by character product and greedy peeling.
+    """Decompose V_lam (x) V_mu by character product and peeling, on dominant weights.
 
-    Peeling order is highest weight by height, ties lexicographic.  A
-    negative multiplicity or a non-dominant leading term signals an
-    internal inconsistency and raises.  Caps also apply to every peeled
-    summand (their characters are needed too); the first one, lam + mu,
-    is checked before any character is built.
+    Only the factor with the smaller weight diagram gets its full
+    character.  At each dominant nu <= lam + mu the product has
+    multiplicity sum over weights b of that factor of
+    m_small(b) * m_big(dom(nu - b)).  Summands are then peeled in
+    decreasing (height, weight) order, each subtracting only its dominant
+    character, which changes only weights below it.  A negative
+    multiplicity signals an internal inconsistency and raises.  Caps also
+    apply to every peeled summand; the first one, lam + mu, is checked
+    before any character is built.  No full diagram of lam, mu or a
+    summand is built beyond the smaller factor, but each still counts
+    against the point budget.
     """
     lat = weight_lattice(group)
     highest = tuple(x + y for x, y in zip(lam, mu))
     _check_caps(lat, (lam, mu, highest), rank_cap, dim_cap)
-    ca = lat.character(lam)
-    cb = lat.character(mu)
-    if len(ca) > len(cb):
-        ca, cb = cb, ca
-    prod: dict[Weight, int] = {}
-    for wa, ma in ca.items():
-        for wb, mb in cb.items():
-            w = tuple(x + y for x, y in zip(wa, wb))
-            prod[w] = prod.get(w, 0) + ma * mb
-    # max-heap on (height, weight) with lazy deletion: an entry whose
-    # weight has dropped out of prod is skipped when it surfaces, and a
-    # weight is pushed again whenever it re-enters prod
-    heap = [_peel_key(lat, w) for w in prod]
-    heapq.heapify(heap)
+    da = lat.dominant_character(lam)
+    na = lat.diagram_size(lam, da)
+    db = lat.dominant_character(mu)
+    nb = lat.diagram_size(mu, db)
+    small, big_dom = (lam, db) if na <= nb else (mu, da)
+    small_char = lat.character(small).items()
+    order = sorted(
+        lat._dominant_weights_below(highest),
+        key=lambda w: (lat.height(w), w),
+        reverse=True,
+    )
+    prod = {
+        nu: sum(
+            m * big_dom.get(lat.to_dominant([x - y for x, y in zip(nu, b)])[0], 0)
+            for b, m in small_char
+        )
+        for nu in order
+    }
     out: dict[Weight, int] = {}
-    while heap:
-        top = heapq.heappop(heap)[2]
-        m = prod.get(top)
+    for top in order:
+        m = prod[top]
         if not m:
             continue
-        if m < 0 or not lat.is_dominant(top):
+        if m < 0:
             raise OracleError(f"peeling failed at {top} with multiplicity {m}")
         _check_caps(lat, (top,), rank_cap, dim_cap)
-        for w, mw in lat.character(top).items():
-            had = prod.get(w, 0)
-            left = had - m * mw
-            if left:
-                prod[w] = left
-                if not had:
-                    heapq.heappush(heap, _peel_key(lat, w))
-            else:
-                prod.pop(w, None)
+        dc = lat.dominant_character(top)
+        lat.diagram_size(top, dc)
+        for w, mw in dc.items():
+            prod[w] -= m * mw
         out[top] = m
     return out
-
-
-def _peel_key(lat: WeightLattice, w: Weight) -> tuple:
-    """Heap entry that pops the highest (height, weight) first."""
-    return (-lat.height(w), tuple(-x for x in w), w)
 
 
 def tensor_product_reflection(

@@ -11,10 +11,18 @@ the i-th coordinate.  Everything, set-up included, is integer arithmetic:
 * the Weyl-invariant form is scaled to integers as well (``d[j]`` is a
   positive integer multiple of ``|alpha_j|^2 / 2``), and every formula
   that uses it is a ratio of two such forms, so the scale cancels.
+
+Characters are computed on dominant weights only: a search that
+subtracts positive roots and stays dominant finds the dominant weights
+below the highest weight, and Freudenthal's recursion runs on them.
+Only ``character`` expands Weyl orbits into the full weight diagram,
+and it first counts the diagram from orbit sizes |W|/|W_mu| against the
+point budget.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import lru_cache
 from math import gcd, prod
 from operator import add, mul
@@ -68,6 +76,7 @@ class WeightLattice:
             for a_rb, a_fw in zip(self.pos_roots_rb, self.pos_roots_fw)
         )
         self._weyl_den = prod(self._form_root(self.rho, a) for a in self.pos_roots_rb)
+        self._parabolic_orders: dict[tuple[bool, ...], int] = {}
 
     # -- coordinate plumbing -------------------------------------------
 
@@ -131,6 +140,35 @@ class WeightLattice:
             frontier = new
         return seen
 
+    def orbit_size(self, w: Weight) -> int:
+        """|W w| = |W| / |W_J|, J the simple roots that the dominant dom(w) pairs to 0.
+
+        The stabiliser of a dominant weight is the parabolic subgroup W_J
+        (Chevalley), and orders come from root heights without a table.
+        """
+        dom, _ = self.to_dominant(w)
+        return self._parabolic_order((True,) * self.rank) // self._parabolic_order(
+            tuple(not c for c in dom)
+        )
+
+    def _parabolic_order(self, on: tuple[bool, ...]) -> int:
+        """|W_J| for the simple roots J marked in ``on``.
+
+        |W_J| is the product of the degrees of W_J, and the degrees are one
+        more than the exponents, whose dual partition is the count of
+        positive roots of W_J by height (Kostant): if n_k roots supported
+        on J have height k, then |W_J| = prod (k+1)^(n_k - n_{k+1}).
+        """
+        order = self._parabolic_orders.get(on)
+        if order is None:
+            n = Counter(
+                sum(a) for a in self.pos_roots_rb
+                if all(on[j] for j, c in enumerate(a) if c)
+            )
+            order = prod((k + 1) ** (n[k] - n[k + 1]) for k in n)
+            self._parabolic_orders[on] = order
+        return order
+
     # -- dimensions and characters ----------------------------------------
 
     def weyl_dim(self, w: Weight) -> int:
@@ -188,42 +226,50 @@ class WeightLattice:
         return mult
 
     def _dominant_weights_below(self, w: Weight) -> list[Weight]:
-        seen = {tuple(w)}
-        frontier = [tuple(w)]
-        dominants = [tuple(w)]
+        """The dominant weights mu <= w (the dominant weights of V_w).
+
+        They are connected by steps that subtract a positive root and stay
+        dominant (Stembridge, "The partial order of dominant weights"), so
+        a search over dominant weights alone, stepping by every positive
+        root, reaches all of them.  The rest of the diagram is never built.
+        """
+        w = tuple(w)
+        seen = {w}
+        frontier = [w]
         while frontier:
             new = []
             for u in frontier:
-                for a_fw in self.simple_fw:
+                for a_fw in self.pos_roots_fw:
                     v = _sub(u, a_fw)
-                    if v in seen:
-                        continue
-                    dom, _ = self.to_dominant(v)
-                    if not self.in_positive_root_cone(_sub(w, dom)):
+                    if v in seen or not self.is_dominant(v):
                         continue
                     seen.add(v)
+                    # the diagram holds every dominant weight, so it is larger still
                     if len(seen) > _POINT_BUDGET:
                         raise CapExceeded(
                             f"weight diagram of {w} exceeds {_POINT_BUDGET} points"
                         )
                     new.append(v)
-                    if v == dom:
-                        dominants.append(v)
             frontier = new
-        return dominants
+        return list(seen)
+
+    def diagram_size(self, w: Weight, dom_char: dict[Weight, int]) -> int:
+        """Number of weights of V_w, counted from orbit sizes of its dominant weights.
+
+        ``dom_char`` is ``dominant_character(w)``.  Raises ``CapExceeded``
+        when the count is over the point budget, so a diagram that would be
+        too large is refused before any orbit of it is built.
+        """
+        npoints = sum(map(self.orbit_size, dom_char))
+        if npoints > _POINT_BUDGET:
+            raise CapExceeded(f"weight diagram of {w} exceeds {_POINT_BUDGET} points")
+        return npoints
 
     def character(self, w: Weight) -> dict[Weight, int]:
         """Full weight multiplicity map of the irreducible with h.w. w."""
         dom_char = self.dominant_character(w)
-        out: dict[Weight, int] = {}
-        npoints = 0
-        for mu, m in dom_char.items():
-            for nu in self.orbit(mu):
-                out[nu] = m
-                npoints += 1
-                if npoints > _POINT_BUDGET:
-                    raise CapExceeded("character support exceeds point budget")
-        return out
+        self.diagram_size(w, dom_char)
+        return {nu: m for mu, m in dom_char.items() for nu in self.orbit(mu)}
 
 
 def _sub(u: Weight, v: Weight) -> Weight:

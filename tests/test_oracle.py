@@ -127,9 +127,34 @@ def test_dim_cap_trips_on_lam_plus_mu_before_any_character(monkeypatch):
         raise AssertionError("a character was built before the cap check")
 
     monkeypatch.setattr(WeightLattice, "character", no_character)
+    monkeypatch.setattr(WeightLattice, "dominant_character", no_character)
     with pytest.raises(CapExceeded) as exc:
         tensor_product(A8, lam, mu)
     assert str(exc.value) == "dim 148500 of weight (0, 0, 2, 0, 0, 1, 0, 0) above cap 20000"
+
+
+def test_peel_builds_only_the_smaller_full_character(monkeypatch):
+    built = []
+    character = WeightLattice.character
+
+    def logged(self, w):
+        built.append(w)
+        return character(self, w)
+
+    monkeypatch.setattr(WeightLattice, "character", logged)
+    # V_(1,0) of C2 has 4 weights, V_(0,1) has 5
+    assert tensor_product(C2, (0, 1), (1, 0)) == {(1, 1): 1, (1, 0): 1}
+    assert built == [(1, 0)]
+
+
+def test_peel_counts_each_diagram_against_the_point_budget(monkeypatch):
+    A2 = system_id("A", 2)
+    monkeypatch.setattr("dfv.weights._POINT_BUDGET", 6)
+    # (1, 1) has 7 weights: refused as a factor and as a summand
+    for lam, mu in (((0, 0), (1, 1)), ((1, 0), (0, 1))):
+        with pytest.raises(CapExceeded) as exc:
+            tensor_product(A2, lam, mu, dim_cap=None)
+        assert str(exc.value) == "weight diagram of (1, 1) exceeds 6 points"
 
 
 def test_no_dim_cap_leaves_result_unchanged():

@@ -1,16 +1,17 @@
-"""Integer root coordinates of the weight lattices against a Fraction reference."""
+"""Weight lattices against references: Fraction root coordinates, the full-diagram
+dominant set, and the orders of the Weyl groups."""
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import lcm
+from math import factorial, lcm
 
 import pytest
 
 from dfv.cli import EXIT_CAP, main
 from dfv.rootsys import cartan_matrix, system_id
-from dfv.weights import CapExceeded, weight_lattice
+from dfv.weights import CapExceeded, WeightLattice, weight_lattice
 
 TYPES = (
     [("A", r) for r in range(1, 9)]
@@ -97,3 +98,96 @@ def test_point_budget_raises(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert code == EXIT_CAP and captured.out == ""
     assert captured.err == "error: cap exceeded: weight diagram of (1, 1) exceeds 6 points\n"
+
+
+def _seeded_dominant(lat, seed: str, count: int):
+    """rho, the fundamental weights w_j and w_1 + w_j, and a few sparse seeded
+    dominant weights."""
+    rng = random.Random(seed)
+    n = lat.rank
+    ws = [lat.rho] + [tuple(int(i == j) for i in range(n)) for j in range(n)]
+    ws += [tuple(int(i == 0) + int(i == j) for i in range(n)) for j in range(n)]
+    ws += [tuple(0 if rng.random() < 0.6 else rng.randint(1, 2) for _ in range(n))
+           for _ in range(count)]
+    return list(dict.fromkeys(ws))
+
+
+def _reference_dominant_weights(lat, w):
+    """Dominant weights of V_w from a BFS over the whole weight diagram."""
+    seen = {w}
+    frontier = [w]
+    dominants = [w]
+    while frontier:
+        new = []
+        for u in frontier:
+            for a in lat.simple_fw:
+                v = tuple(x - y for x, y in zip(u, a))
+                if v in seen:
+                    continue
+                dom, _ = lat.to_dominant(v)
+                if not lat.in_positive_root_cone(tuple(x - y for x, y in zip(w, dom))):
+                    continue
+                seen.add(v)
+                new.append(v)
+                if v == dom:
+                    dominants.append(v)
+        frontier = new
+    return dominants
+
+
+@pytest.mark.parametrize("family,rank", TYPES, ids=[f"{f}{r}" for f, r in TYPES])
+def test_dominant_weights_match_full_diagram_reference(family, rank, monkeypatch):
+    lat = weight_lattice(system_id(family, rank))
+    checked = 0
+    for w in _seeded_dominant(lat, f"dominant-{family}{rank}", 6):
+        # the diagram has at most dim V_w points: keep the reference BFS small
+        if lat.weyl_dim(w) > 1_500:
+            continue
+        ref = _reference_dominant_weights(lat, w)
+        got = lat._dominant_weights_below(w)
+        assert sorted(got) == sorted(ref)
+        dom_char = lat.dominant_character(w)
+        with monkeypatch.context() as m:
+            m.setattr(WeightLattice, "_dominant_weights_below", lambda self, u: ref)
+            assert lat.dominant_character(w) == dom_char
+        assert sum(k * lat.orbit_size(mu) for mu, k in dom_char.items()) == lat.weyl_dim(w)
+        checked += 1
+    assert checked
+
+
+def _weyl_order(family: str, rank: int) -> int:
+    if family == "A":
+        return factorial(rank + 1)
+    if family in ("B", "C"):
+        return 2**rank * factorial(rank)
+    if family == "D":
+        return 2 ** (rank - 1) * factorial(rank)
+    return {"E6": 51_840, "E7": 2_903_040, "E8": 696_729_600, "F4": 1_152, "G2": 12}[family]
+
+
+@pytest.mark.parametrize("family,rank", TYPES, ids=[f"{f}{r}" for f, r in TYPES])
+def test_orbit_size_matches_orbit_and_weyl_order(family, rank):
+    lat = weight_lattice(system_id(family, rank))
+    # rho is regular: its stabiliser is trivial, so its orbit is all of W
+    assert lat.orbit_size(lat.rho) == _weyl_order(family, rank)
+    rng = random.Random(f"orbit-{family}{rank}")
+    weights = [tuple(rng.randint(-2, 2) if rng.random() < 0.4 else 0 for _ in range(rank))
+               for _ in range(40)]
+    sizes = {w: lat.orbit_size(w) for w in weights}
+    small = [w for w in weights if sizes[w] <= 5_000]
+    assert len(small) >= 5
+    for w in small:
+        assert sizes[w] == len(lat.orbit(w))
+
+
+def test_point_budget_trips_before_any_orbit(monkeypatch):
+    lat = weight_lattice(system_id("A", 2))
+
+    def no_orbit(self, *args, **kwargs):
+        raise AssertionError("an orbit was built before the point budget check")
+
+    monkeypatch.setattr("dfv.weights._POINT_BUDGET", 6)
+    monkeypatch.setattr(WeightLattice, "orbit", no_orbit)
+    with pytest.raises(CapExceeded) as exc:
+        lat.character((1, 1))
+    assert str(exc.value) == "weight diagram of (1, 1) exceeds 6 points"
