@@ -13,16 +13,19 @@ of p_u ∩ q_u over the common refinement of the two compositions, on
 which B ∩ L ∩ M acts by X_{ij} -> A_i X_{ij} A_j^{-1}.  The complexity
 equals the codimension of a generic orbit; the oracle here evaluates
 the rank of the infinitesimal action at random integer points with
-exact arithmetic.  Matrices are lists of sparse (row, column,
-coefficient) entries, and the action is read off in the coordinates of
-the module basis only.  Stroke parabolics are realized by conjugating block
-membership with the transposition of the two middle basis vectors.
+exact arithmetic, and stops sampling once a point reaches the largest
+rank the action matrix can have.  Matrices are sparse (row, column,
+coefficient) entries, built once per group, and the action is read off
+in the coordinates of the module basis only.  Stroke parabolics are
+realized by conjugating block membership with the transposition of the
+two middle basis vectors.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .complexity import integer_rank
 from .parabolic import BlockComposition, ParabolicError
@@ -247,28 +250,29 @@ def _blocks(comp: BlockComposition) -> list[int]:
     return out
 
 
+@lru_cache(maxsize=None)
 def _basis_elements(family: str, n: int):
     """(positions, coefficients) of a spanning set of the Lie algebra.
 
-    Off-diagonal elements are listed once per symmetry class, keyed by a
-    representative position (a, b); diagonal torus elements separately.
+    Off-diagonal elements are listed once per symmetry class as pairs
+    (representative position (a, b), entries), sorted by representative;
+    diagonal torus elements separately.  Built once per group and shared,
+    so every entry list is a tuple.
     """
-    elems: dict[tuple[int, int], list[tuple[int, int, int]]] = {}
+    elems: dict[tuple[int, int], tuple[tuple[int, int, int], ...]] = {}
     if family == "SL":
         for a in range(1, n + 1):
             for b in range(1, n + 1):
                 if a != b:
-                    elems[(a, b)] = [(a, b, 1)]
-        torus = [[(i, i, 1), (i + 1, i + 1, -1)] for i in range(1, n)]
-        return elems, torus
-    if family == "SO":
+                    elems[(a, b)] = ((a, b, 1),)
+        torus = tuple(((i, i, 1), (i + 1, i + 1, -1)) for i in range(1, n))
+    elif family == "SO":
         for a in range(1, n + 1):
             for b in range(1, n + 1):
                 if a + b < n + 1:
-                    elems[(a, b)] = [(a, b, 1), (n + 1 - b, n + 1 - a, -1)]
-        torus = [[(a, a, 1), (n + 1 - a, n + 1 - a, -1)] for a in range(1, n // 2 + 1)]
-        return elems, torus
-    if family == "Sp":
+                    elems[(a, b)] = ((a, b, 1), (n + 1 - b, n + 1 - a, -1))
+        torus = tuple(((a, a, 1), (n + 1 - a, n + 1 - a, -1)) for a in range(1, n // 2 + 1))
+    elif family == "Sp":
         l = n // 2
 
         def tau(u: int) -> int:
@@ -277,12 +281,13 @@ def _basis_elements(family: str, n: int):
         for a in range(1, n + 1):
             for b in range(1, n + 1):
                 if a + b < n + 1 and a != b:
-                    elems[(a, b)] = [(a, b, 1), (n + 1 - b, n + 1 - a, -tau(b) * tau(a))]
+                    elems[(a, b)] = ((a, b, 1), (n + 1 - b, n + 1 - a, -tau(b) * tau(a)))
                 elif a + b == n + 1:
-                    elems[(a, b)] = [(a, b, 1)]
-        torus = [[(a, a, 1), (n + 1 - a, n + 1 - a, -1)] for a in range(1, l + 1)]
-        return elems, torus
-    raise BlockModelError(f"unknown family {family!r}")
+                    elems[(a, b)] = ((a, b, 1),)
+        torus = tuple(((a, a, 1), (n + 1 - a, n + 1 - a, -1)) for a in range(1, l + 1))
+    else:
+        raise BlockModelError(f"unknown family {family!r}")
+    return tuple(sorted(elems.items())), torus
 
 
 def nilradical_intersection_basis(p: BlockComposition, q: BlockComposition):
@@ -291,7 +296,7 @@ def nilradical_intersection_basis(p: BlockComposition, q: BlockComposition):
     pb, qb = _blocks(p), _blocks(q)
     return [
         entries
-        for (a, b), entries in sorted(elems.items())
+        for (a, b), entries in elems
         if a < b and pb[a] != pb[b] and qb[a] != qb[b]
     ]
 
@@ -302,7 +307,7 @@ def borel_levi_basis(p: BlockComposition, q: BlockComposition):
     pb, qb = _blocks(p), _blocks(q)
     return list(torus) + [
         entries
-        for (a, b), entries in sorted(elems.items())
+        for (a, b), entries in elems
         if a < b and pb[a] == pb[b] and qb[a] == qb[b]
     ]
 
@@ -346,7 +351,17 @@ def generic_orbit_complexity(
 
     Exact integer evaluation of the infinitesimal action at random
     points; the rank at any point can only underestimate the generic
-    rank, so the maximum over several samples is taken.
+    rank, so the maximum over up to ``samples`` points is taken.  The
+    action matrix has ``len(acting)`` rows and ``dim`` columns, so no
+    point can rank above min(dim, len(acting)); once a sample reaches
+    that, later samples could only tie, and sampling stops.  The result
+    is the same as ranking every sample.
+
+    A sample falls short of the generic rank only where a nonzero minor
+    of degree at most dim vanishes.  Its entries are uniform over
+    2·_ENTRY_BOUND + 1 integers, so by Schwartz–Zippel one sample misses
+    with probability at most dim / (2·_ENTRY_BOUND + 1), and ``samples``
+    independent ones with at most that to the power ``samples``.
     """
     if p.family != q.family or p.n != q.n:
         raise ParabolicError("oracle needs two parabolics of the same group")
@@ -357,6 +372,7 @@ def generic_orbit_complexity(
     dim = len(module)
     if dim == 0:
         return 0
+    top = min(dim, len(acting))
     rng = random.Random(seed)
     best = 0
     for _ in range(max(1, samples)):
@@ -366,6 +382,8 @@ def generic_orbit_complexity(
             for a, b, k in entries:
                 x[a][b] += c * k
         best = max(best, integer_rank(_action_rows(acting, module, x)))
+        if best == top:
+            break
     return dim - best
 
 

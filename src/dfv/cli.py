@@ -19,7 +19,7 @@ import os
 import sys
 from dataclasses import dataclass
 
-from .blockmodel import check_matrix_cap, generic_orbit_complexity
+from .blockmodel import _ENTRY_BOUND, check_matrix_cap, generic_orbit_complexity
 from .classifier import (
     DEFAULT_RANGES,
     EXCEPTIONAL_FAMILIES,
@@ -36,7 +36,7 @@ from .parabolic import (
     parse_composition,
     parse_removed_roots,
 )
-from .rootsys import RootSystemError, system_id
+from .rootsys import RootSystemError, build_root_system, system_id
 from .sections import (
     SectionsError,
     decompose_example1,
@@ -250,11 +250,14 @@ def cmd_oracle(args) -> int:
     return EXIT_OK
 
 
+_ORACLE_SAMPLES = 3  # random points per oracle call
+
+
 def _oracle_check_one(pair, seed0: int, seeds: int) -> tuple[int, list[str]]:
     ce = pair_complexity(pair)
     bad = []
     for seed in range(seed0, seed0 + seeds):
-        co = generic_orbit_complexity(pair.p, pair.q, seed=seed, samples=3)
+        co = generic_orbit_complexity(pair.p, pair.q, seed=seed, samples=_ORACLE_SAMPLES)
         if co != ce:
             bad.append(f"({pair.p} | {pair.q}) engine={ce} oracle={co} seed={seed}")
     return len(bad), bad
@@ -264,7 +267,7 @@ def cmd_oracle_check(args) -> int:
     family, n = args.family, args.n
     if family in EXCEPTIONAL_FAMILIES:
         raise UsageError("oracle-check applies to the classical families")
-    _group(family, n)
+    rsid = _group(family, n)
     check_matrix_cap(n)  # before enumerating the pairs, whose count grows like 4^n
     pairs = enumerate_pairs(family, n)
     tasks = [(pair, args.seed, args.seeds) for pair in pairs]
@@ -274,7 +277,13 @@ def cmd_oracle_check(args) -> int:
         mismatches += count
         for line in lines:
             print(f"disagreement: {family}_{n} {line}", file=sys.stderr)
-    print(f"{family}_{n}: {len(pairs)} orbits x {args.seeds} seeds, {mismatches} disagreements")
+    # Schwartz-Zippel per call (see generic_orbit_complexity), with the
+    # module dimension bounded by N, the number of positive roots
+    n_pos = len(build_root_system(rsid).positive_roots)
+    print(
+        f"{family}_{n}: {len(pairs)} orbits x {args.seeds} seeds, {mismatches} disagreements, "
+        f"miss bound per call <= ({n_pos}/{2 * _ENTRY_BOUND + 1})^{_ORACLE_SAMPLES}"
+    )
     return EXIT_INTERNAL if mismatches else EXIT_OK
 
 

@@ -8,8 +8,8 @@ decompositions:
   the other, then peel the highest remaining dominant weight.  Guarded
   by rank/dimension caps.
 * ``tensor_product_reflection`` -- the standard rho-shifted reflection
-  method: only needs the full character of the smaller factor, so it
-  scales to much larger highest weights.
+  method: only needs the full character of the factor of smaller
+  dimension, so it scales to much larger highest weights.
 * ``lr_tensor`` -- type A only: count Littlewood--Richardson skew
   tableaux directly on partitions.
 
@@ -116,8 +116,8 @@ def tensor_product_reflection(
 ) -> dict[Weight, int]:
     """Decompose V_lam (x) V_mu by rho-shifted dominant reflection.
 
-    Iterates over the full character of the factor with the smaller
-    weight diagram; each shifted weight lam + rho + nu is reflected to
+    Iterates over the full character of the factor of smaller dimension
+    (by ``weyl_dim``); each shifted weight lam + rho + nu is reflected to
     the dominant chamber with a sign, weights on walls dropping out.
     """
     lat = weight_lattice(group)

@@ -90,9 +90,6 @@ class WeightLattice:
         """Root-basis coordinates of a weight, times ``det_c``."""
         return tuple(sum(map(mul, row, w)) for row in self.adj)
 
-    def in_positive_root_cone(self, w: Weight) -> bool:
-        return all(sum(map(mul, row, w)) >= 0 for row in self.adj)
-
     def height(self, w: Weight) -> int:
         """Height of a weight (sum of its root-basis coordinates), times ``det_c``."""
         return sum(map(mul, self.height_vec, w))

@@ -7,9 +7,12 @@ from itertools import product
 
 import pytest
 
+import dfv.blockmodel
 from dfv.blockmodel import (
+    _ENTRY_BOUND,
     BlockGrid,
     _action_rows,
+    _basis_elements,
     borel_levi_basis,
     build_block_grid,
     chain_complexity,
@@ -20,9 +23,8 @@ from dfv.blockmodel import (
     reduce_stroke_pair,
 )
 from dfv.classifier import enumerate_pairs
-from dfv.complexity import pair_complexity
+from dfv.complexity import complexity, integer_rank, pair_complexity
 from dfv.parabolic import BlockComposition, ParabolicError, classical_system_id
-from dfv.complexity import complexity
 from dfv.weights import CapExceeded
 
 
@@ -159,6 +161,69 @@ def test_oracle_rank_stable_over_extra_samples():
         c3 = generic_orbit_complexity(p, q, seed=0, samples=3)
         c8 = generic_orbit_complexity(p, q, seed=0, samples=8)
         assert c8 == c3
+
+
+def _oracle_ranking_every_sample(p, q, seed, samples):
+    """Reference oracle: the same draws as generic_orbit_complexity, but
+    every sample is ranked, with no stop at full rank."""
+    n = p.n
+    module = nilradical_intersection_basis(p, q)
+    acting = borel_levi_basis(p, q)
+    if not module:
+        return 0
+    rng = random.Random(seed)
+    best = 0
+    for _ in range(samples):
+        x = [[0] * (n + 1) for _ in range(n + 1)]
+        for entries in module:
+            c = rng.randint(-_ENTRY_BOUND, _ENTRY_BOUND)
+            for a, b, k in entries:
+                x[a][b] += c * k
+        best = max(best, integer_rank(_action_rows(acting, module, x)))
+    return len(module) - best
+
+
+def test_oracle_stop_at_full_rank_matches_every_sample():
+    groups = [("SL", n) for n in range(2, 7)] + [("Sp", n) for n in (4, 6, 8)]
+    groups += [("SO", n) for n in range(5, 9)]
+    for family, n in groups:
+        for pair in enumerate_pairs(family, n):
+            for seed in range(3):
+                ref = _oracle_ranking_every_sample(pair.p, pair.q, seed, 3)
+                got = generic_orbit_complexity(pair.p, pair.q, seed=seed, samples=3)
+                assert got == ref, (family, n, pair.p, pair.q, seed)
+
+
+@pytest.mark.parametrize(
+    "p,q,dim,rows,c,calls",
+    [
+        # one sample reaches min(dim, rows): the other two are never ranked
+        (BlockComposition("SL", 5, (2, 3)), BlockComposition("SL", 5, (1, 4)), 3, 7, 0, 1),
+        (BlockComposition("SL", 9, (3, 6)), BlockComposition("SL", 9, (3, 3, 3)), 18, 17, 1, 1),
+        # the generic rank 6 is below min(7, 7): every sample is ranked
+        (BlockComposition("SL", 5, (1, 1, 3)), BlockComposition("SL", 5, (1, 1, 3)), 7, 7, 1, 3),
+    ],
+)
+def test_oracle_rank_calls_stop_at_full_rank(monkeypatch, p, q, dim, rows, c, calls):
+    assert len(nilradical_intersection_basis(p, q)) == dim
+    assert len(borel_levi_basis(p, q)) == rows
+    ranked = []
+
+    def counting_rank(matrix):
+        ranked.append(len(matrix))
+        return integer_rank(matrix)
+
+    monkeypatch.setattr(dfv.blockmodel, "integer_rank", counting_rank)
+    assert generic_orbit_complexity(p, q, seed=0, samples=3) == c
+    assert len(ranked) == calls
+
+
+def test_basis_is_built_once_per_group_and_immutable():
+    assert _basis_elements("Sp", 6) is _basis_elements("Sp", 6)
+    elems, torus = _basis_elements("Sp", 6)
+    assert [pos for pos, _ in elems] == sorted(pos for pos, _ in elems)
+    for entries in [e for _, e in elems] + list(torus):
+        assert isinstance(entries, tuple) and all(isinstance(t, tuple) for t in entries)
 
 
 def test_module_dimension_matches_weight_count():

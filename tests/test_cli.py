@@ -264,6 +264,13 @@ def test_oracle_check(capsys):
     assert code == EXIT_OK and "0 disagreements" in out
 
 
+def test_oracle_check_states_miss_bound(capsys):
+    # Sp_4 has N = 4 positive roots; entries are uniform over 2*10^6+1 integers
+    code, out, _ = run(capsys, "oracle-check", "--family", "Sp", "--n", "4")
+    assert code == EXIT_OK
+    assert out == "Sp_4: 10 orbits x 3 seeds, 0 disagreements, miss bound per call <= (4/2000001)^3\n"
+
+
 def test_determinism(capsys):
     a = run(capsys, "classify", "--family", "Sp", "--n", "8", "--format", "json")
     b = run(capsys, "classify", "--family", "Sp", "--n", "8", "--format", "json")
